@@ -18,7 +18,7 @@ use rlcx_geom::{Axis, Bar, Block, Point3, ShieldConfig, Stackup};
 use rlcx_numeric::obs;
 use rlcx_numeric::parallel::{balanced_index, par_map_timed};
 use rlcx_numeric::Timings;
-use rlcx_peec::{BlockExtractor, Conductor, MeshSpec, PartialSystem, SolverBackend};
+use rlcx_peec::{BlockExtractor, Conductor, GmdMemo, MeshSpec, PartialSystem, SolverBackend};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -151,6 +151,15 @@ impl TableBuilder {
     /// [`par_map`]; results land back in grid order, so the tables are
     /// identical to a serial sweep.
     ///
+    /// All solves of one build share a [`GmdMemo`]: the cross-section GMD
+    /// of a filament pair does not depend on length, and the mesh and
+    /// transverse coordinates repeat along the length axis, so most of the
+    /// near-field quadratures are computed once per build instead of once
+    /// per solve. Memoized values carry the same bits as computed ones, so
+    /// the tables are identical to un-memoized solves. The memo is dropped
+    /// when the build returns; its hit and miss totals are published as the
+    /// `table.gmd.hits` and `table.gmd.misses` counters.
+    ///
     /// # Errors
     ///
     /// Propagates solver errors; returns [`crate::CoreError::BadAxis`] for invalid
@@ -170,17 +179,27 @@ impl TableBuilder {
     /// Same as [`TableBuilder::build`].
     pub fn build_timed(&self) -> Result<(InductanceTables, Timings)> {
         let _span = obs::span("table.build");
+        let memo = GmdMemo::new();
+        let built = self.characterize(&memo);
+        let (hits, misses) = memo.stats();
+        obs::counter_add("table.gmd.hits", hits);
+        obs::counter_add("table.gmd.misses", misses);
+        built
+    }
+
+    /// The three sweeps of [`TableBuilder::build_timed`], sharing `memo`.
+    fn characterize(&self, memo: &GmdMemo) -> Result<(InductanceTables, Timings)> {
         let mut timings = Timings::new();
         let (self_l, cpu) = timings.time("self-table", || {
-            obs::with_span("table.self", || self.characterize_self())
+            obs::with_span("table.self", || self.characterize_self(memo))
         })?;
         timings.absorb(&cpu);
         let (mutual_l, cpu) = timings.time("mutual-table", || {
-            obs::with_span("table.mutual", || self.characterize_mutual())
+            obs::with_span("table.mutual", || self.characterize_mutual(memo))
         })?;
         timings.absorb(&cpu);
         let (loop_tables, cpu) = timings.time("loop-tables", || {
-            obs::with_span("table.loop", || self.characterize_loops())
+            obs::with_span("table.loop", || self.characterize_loops(memo))
         })?;
         timings.absorb(&cpu);
         let tables = InductanceTables::new(self_l, mutual_l, loop_tables, self.frequency);
@@ -190,7 +209,7 @@ impl TableBuilder {
 
     /// Self table: 1-trace solves at the significant frequency, one grid
     /// point per parallel work item.
-    fn characterize_self(&self) -> Result<(SelfLTable, Timings)> {
+    fn characterize_self(&self, memo: &GmdMemo) -> Result<(SelfLTable, Timings)> {
         let layer = self.stackup.layer(self.layer_index)?;
         let (rho, t, z) = (layer.resistivity(), layer.thickness(), layer.z_bottom());
         let nl = self.lengths.len();
@@ -201,7 +220,7 @@ impl TableBuilder {
                 let (w, len) = (self.widths[p / nl], self.lengths[p % nl]);
                 let bar = Bar::new(Point3::new(0.0, 0.0, z), Axis::X, len, w, t)?;
                 let sys: PartialSystem = [Conductor::new(bar, rho)?].into_iter().collect();
-                let (_, l) = sys.rl_at_backend(self.frequency, self.mesh, self.backend)?;
+                let (_, l) = sys.rl_at_memo(self.frequency, self.mesh, self.backend, Some(memo))?;
                 Ok(l[(0, 0)])
             })
         });
@@ -219,7 +238,7 @@ impl TableBuilder {
     /// Mutual table: 2-trace solves, symmetric in the width pair — only the
     /// `i ≤ j` pairs are solved, flattened with spacing × length into the
     /// parallel point list, then mirrored.
-    fn characterize_mutual(&self) -> Result<(MutualLTable, Timings)> {
+    fn characterize_mutual(&self, memo: &GmdMemo) -> Result<(MutualLTable, Timings)> {
         let layer = self.stackup.layer(self.layer_index)?;
         let (rho, t, z) = (layer.resistivity(), layer.thickness(), layer.z_bottom());
         let nw = self.widths.len();
@@ -249,7 +268,7 @@ impl TableBuilder {
                 let sys: PartialSystem = [Conductor::new(a, rho)?, Conductor::new(b, rho)?]
                     .into_iter()
                     .collect();
-                let (_, l) = sys.rl_at_backend(self.frequency, self.mesh, self.backend)?;
+                let (_, l) = sys.rl_at_memo(self.frequency, self.mesh, self.backend, Some(memo))?;
                 Ok((p, l[(0, 1)]))
             })
         });
@@ -281,7 +300,7 @@ impl TableBuilder {
 
     /// Loop tables: full G-S-G (+ plane) block extraction per config, one
     /// (width, length) grid point per parallel work item.
-    fn characterize_loops(&self) -> Result<(Vec<LoopLTable>, Timings)> {
+    fn characterize_loops(&self, memo: &GmdMemo) -> Result<(Vec<LoopLTable>, Timings)> {
         let extractor = BlockExtractor::new(self.stackup.clone(), self.layer_index)?
             .frequency(self.frequency)
             .mesh(self.mesh)
@@ -303,7 +322,7 @@ impl TableBuilder {
                         self.loop_spacing,
                     )?
                     .with_shield(shield);
-                    let out = extractor.extract(&block)?;
+                    let out = extractor.extract_memo(&block, Some(memo))?;
                     Ok((out.loop_l[(0, 0)], out.loop_r[(0, 0)]))
                 })
             });

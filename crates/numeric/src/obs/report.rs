@@ -14,7 +14,8 @@
 //!   "version": 2,
 //!   "name": "exp_table_accuracy",
 //!   "created_unix": 1754500000,
-//!   "env": {"threads": "8", "trace": "summary"},
+//!   "env": {"threads": "8", "trace": "summary",
+//!           "available_parallelism": "8", "profile": "release"},
 //!   "figures": {"self_l.max_rel_err": 0.0021},
 //!   "samples": [{"name": "lookup", "median_s": 1e-6, "min_s": 9e-7, "n": 10}],
 //!   "timings": {"self-table": 0.41},
@@ -37,6 +38,15 @@ use super::series::{self, SeriesSnapshot};
 use super::trace::{self, SpanRecord};
 use crate::timing::Timings;
 use std::path::{Path, PathBuf};
+
+/// `debug` or `release`: the profile the library was compiled in.
+fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
 
 /// One bench measurement inside a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +99,9 @@ pub struct RunReport {
 
 impl RunReport {
     /// A fresh report stamped with the current time, thread count and trace
-    /// level.
+    /// level, plus the host fingerprint: the host's
+    /// `available_parallelism` and the build `profile` (`debug` or
+    /// `release`).
     pub fn new(name: impl Into<String>) -> Self {
         let created_unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -104,6 +116,13 @@ impl RunReport {
                     crate::parallel::thread_count().to_string(),
                 ),
                 ("trace".into(), trace::trace_level().as_str().into()),
+                (
+                    "available_parallelism".into(),
+                    std::thread::available_parallelism()
+                        .map_or(0, |n| n.get())
+                        .to_string(),
+                ),
+                ("profile".into(), build_profile().into()),
             ],
             ..RunReport::default()
         }
@@ -543,6 +562,23 @@ mod tests {
         let report = sample_report();
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn host_fingerprint_round_trips() {
+        let report = RunReport::new("fingerprint");
+        let env = |key: &str| {
+            report
+                .env
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let cores = env("available_parallelism").expect("core count recorded");
+        assert!(cores.parse::<usize>().unwrap() >= 1, "cores = {cores}");
+        assert_eq!(env("profile").as_deref(), Some(build_profile()));
+        let parsed = RunReport::from_json(&report.to_json()).unwrap();
+        assert_eq!(parsed.env, report.env);
     }
 
     #[test]

@@ -51,6 +51,7 @@
 
 use crate::gmd;
 use crate::h2;
+use crate::memo::{self, ShardedMemo};
 use crate::partial::{
     dc_resistance, mutual_partial_batch, mutual_partial_relative, self_partial, PairGeom,
 };
@@ -62,7 +63,7 @@ use rlcx_numeric::pool::{self, SendPtr};
 use rlcx_numeric::{obs, par_map, thread_count, CMatrix, Complex};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 /// Which engine [`crate::PartialSystem`] uses for the filament-level solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -216,45 +217,22 @@ impl FastOpOptions {
 ///
 /// # Concurrency
 ///
-/// The cache is shared by reference across the parallel operator build:
-/// its maps live behind [`CACHE_SHARDS`] mutex shards selected by a
-/// deterministic hash of the key, so tasks filling different blocks
-/// contend only when their keys collide mod the shard count. The shard
-/// count is fixed — independent of `RLCX_THREADS` — and every cached
-/// value is a pure function of its key, so the stored bits (and anything
-/// computed from them) are identical for any thread count even when two
-/// tasks race the first touch of a key. Only the hit/miss *counters* can
-/// differ under such a race (both tasks count a miss); they are
-/// diagnostics, not part of the deterministic contract. On the serial
-/// path the accounting is exactly the historical one.
+/// The cache is shared by reference across the parallel operator build.
+/// Its maps are the crate's sharded memo (also behind
+/// [`crate::gmd::GmdMemo`]): 16 mutex shards selected by a deterministic
+/// hash of the key, so tasks filling different blocks contend only when
+/// their keys collide mod the shard count. The shard count is fixed —
+/// independent of `RLCX_THREADS` — and every cached value is a pure
+/// function of its key, so the stored bits (and anything computed from
+/// them) are identical for any thread count even when two tasks race the
+/// first touch of a key. Only the hit/miss *counters* can differ under
+/// such a race (both tasks count a miss); they are diagnostics, not part
+/// of the deterministic contract. On the serial path the accounting is
+/// exactly the historical one.
 pub struct KernelCache {
     length_um: f64,
-    shards: [Mutex<CacheShard>; CACHE_SHARDS],
-}
-
-/// Lock shards of [`KernelCache`]. Fixed (never derived from the thread
-/// count) so cache layout and per-shard counter attribution are the same
-/// for every run of the same workload.
-const CACHE_SHARDS: usize = 16;
-
-#[derive(Default)]
-struct CacheShard {
-    mutuals: HashMap<[u64; 7], f64>,
-    selves: HashMap<[u64; 2], f64>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Deterministic shard index of a key: FNV-1a over the key words. Stable
-/// across runs, platforms and thread counts.
-#[inline]
-fn shard_of(key: &[u64]) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in key {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % CACHE_SHARDS as u64) as usize
+    selves: ShardedMemo<2>,
+    mutuals: ShardedMemo<7>,
 }
 
 /// Reusable scratch of [`KernelCache::fill_block`], thread-local so the
@@ -336,14 +314,9 @@ impl KernelCache {
     pub fn new(length_um: f64) -> Self {
         KernelCache {
             length_um,
-            shards: std::array::from_fn(|_| Mutex::new(CacheShard::default())),
+            selves: ShardedMemo::default(),
+            mutuals: ShardedMemo::default(),
         }
-    }
-
-    fn shard(&self, si: usize) -> MutexGuard<'_, CacheShard> {
-        // Cached values are pure functions of their keys, so a panic
-        // mid-insert cannot leave a shard inconsistent; keep going.
-        self.shards[si].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Shared axial span (µm) this cache evaluates kernels for.
@@ -356,38 +329,16 @@ impl KernelCache {
     /// already translation-invariant.
     pub fn self_l(&self, fil: &Bar) -> f64 {
         let key = [key_bits(fil.width()), key_bits(fil.thickness())];
-        let si = shard_of(&key);
-        {
-            let mut s = self.shard(si);
-            if let Some(&v) = s.selves.get(&key) {
-                s.hits += 1;
-                return v;
-            }
-            s.misses += 1;
-        }
-        // Quadrature outside the lock: a first touch must not stall
-        // other tasks' lookups in the same shard.
-        let v = self_partial(fil);
-        self.shard(si).selves.insert(key, v);
-        v
+        self.selves.get_or_insert_with(key, || self_partial(fil))
     }
 
     /// Partial mutual inductance (H) between two filaments of the mesh,
     /// memoized by canonicalized relative placement.
     pub fn mutual_l(&self, a: &Bar, b: &Bar) -> f64 {
         let (key, g) = canonical_mutual(a, b);
-        let si = shard_of(&key);
-        {
-            let mut s = self.shard(si);
-            if let Some(&v) = s.mutuals.get(&key) {
-                s.hits += 1;
-                return v;
-            }
-            s.misses += 1;
-        }
-        let v = mutual_partial_relative(self.length_um, g.w1, g.t1, g.w2, g.t2, g.dt, g.dz, g.far);
-        self.shard(si).mutuals.insert(key, v);
-        v
+        self.mutuals.get_or_insert_with(key, || {
+            mutual_partial_relative(self.length_um, g.w1, g.t1, g.w2, g.t2, g.dt, g.dz, g.far)
+        })
     }
 
     /// Lp kernel entry for filaments `i`, `j` of `fils` (self on the
@@ -437,7 +388,7 @@ impl KernelCache {
         scratch.slots.clear();
         // Hit/miss deltas per shard, flushed once at the end so the scan
         // takes each shard lock O(1) times instead of O(entries).
-        let mut delta = [(0u64, 0u64); CACHE_SHARDS];
+        let mut delta = [(0u64, 0u64); memo::SHARDS];
         for (a, &i) in rows.iter().enumerate() {
             for (b, &j) in cols.iter().enumerate() {
                 let o = a * nc + b;
@@ -446,9 +397,8 @@ impl KernelCache {
                     continue;
                 }
                 let (key, g) = canonical_mutual(&fils[i], &fils[j]);
-                let si = shard_of(&key);
-                let cached = self.shard(si).mutuals.get(&key).copied();
-                if let Some(v) = cached {
+                let si = memo::shard_of(&key);
+                if let Some(v) = self.mutuals.peek(si, &key) {
                     delta[si].0 += 1;
                     out[o] = v;
                 } else if let Some(&pi) = scratch.pending_pos.get(&key) {
@@ -463,13 +413,7 @@ impl KernelCache {
                 }
             }
         }
-        for (si, &(h, m)) in delta.iter().enumerate() {
-            if h != 0 || m != 0 {
-                let mut s = self.shard(si);
-                s.hits += h;
-                s.misses += m;
-            }
-        }
+        self.mutuals.count(&delta);
         if scratch.pending.is_empty() {
             return;
         }
@@ -481,7 +425,7 @@ impl KernelCache {
         scratch.vals.resize(scratch.geoms.len(), 0.0);
         mutual_partial_batch(self.length_um, &scratch.geoms, &mut scratch.vals);
         for ((key, _), &v) in scratch.pending.iter().zip(&scratch.vals) {
-            self.shard(shard_of(key)).mutuals.insert(*key, v);
+            self.mutuals.insert(*key, v);
         }
         for &(o, pi) in scratch.slots.iter() {
             out[o] = scratch.vals[pi];
@@ -491,24 +435,14 @@ impl KernelCache {
     /// `(hits, misses)` counters accumulated so far, summed over the
     /// shards in fixed shard order.
     pub fn stats(&self) -> (u64, u64) {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for si in 0..CACHE_SHARDS {
-            let s = self.shard(si);
-            hits += s.hits;
-            misses += s.misses;
-        }
-        (hits, misses)
+        let (sh, sm) = self.selves.stats();
+        let (mh, mm) = self.mutuals.stats();
+        (sh + mh, sm + mm)
     }
 
     /// Number of distinct kernel evaluations stored.
     pub fn distinct(&self) -> usize {
-        (0..CACHE_SHARDS)
-            .map(|si| {
-                let s = self.shard(si);
-                s.mutuals.len() + s.selves.len()
-            })
-            .sum()
+        self.selves.len() + self.mutuals.len()
     }
 }
 

@@ -10,6 +10,7 @@
 //! of minimum-pitch clock shields) the difference matters, so we integrate
 //! numerically.
 
+use crate::memo::ShardedMemo;
 use rlcx_geom::Bar;
 use rlcx_numeric::quadrature::integrate_4d;
 
@@ -87,6 +88,85 @@ pub fn bar_gmd(a: &Bar, b: &Bar) -> f64 {
         (zb, b.thickness()),
         8,
     )
+}
+
+/// The GMD (µm) the partial-mutual formula uses for two parallel bars:
+/// the self-GMD of the shared cross-section when the bars are collinear
+/// (their cross-section centers coincide), [`bar_gmd`] otherwise.
+///
+/// # Panics
+///
+/// Panics if the bars are not parallel.
+pub fn pair_gmd(a: &Bar, b: &Bar) -> f64 {
+    let scale = a
+        .width()
+        .max(a.thickness())
+        .max(b.width())
+        .max(b.thickness());
+    let center = a.cross_section_distance(b);
+    if center < 1e-9 * scale.max(1.0) {
+        // Collinear segments sharing a cross-section: use its self-GMD.
+        self_gmd(
+            0.5 * (a.width() + b.width()),
+            0.5 * (a.thickness() + b.thickness()),
+        )
+    } else {
+        bar_gmd(a, b)
+    }
+}
+
+/// A memo of [`pair_gmd`] keyed on the exact bits of both cross-sections
+/// in absolute coordinates — `(transverse lo, z lo, width, thickness)` of
+/// each bar, in argument order.
+///
+/// The GMD does not depend on length or axial position, so one memo can
+/// serve every solve of a table characterization: the filament mesh and
+/// every transverse coordinate repeat across the length axis (and largely
+/// across spacings and tables). Each value is produced by [`pair_gmd`] on
+/// the same inputs as an un-memoized solve would use, so memoized results
+/// are bit-identical for any thread count or lookup order. Relative keys
+/// would not be: the absolute-coordinate quadrature differs from
+/// [`relative_gmd`] in the last ULPs.
+///
+/// The key omits the axis, so only parallel bars may be looked up. Storage
+/// is the crate's sharded memo (the one behind
+/// [`crate::fastop::KernelCache`]); drop the memo to release it.
+#[derive(Default)]
+pub struct GmdMemo {
+    map: ShardedMemo<8>,
+}
+
+impl GmdMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        GmdMemo::default()
+    }
+
+    /// [`pair_gmd`] of two parallel bars, computed on first use.
+    pub fn pair_gmd(&self, a: &Bar, b: &Bar) -> f64 {
+        debug_assert!(a.is_parallel(b), "GMD memo requires parallel bars");
+        let (ta, _) = a.transverse_span();
+        let (za, _) = a.vertical_span();
+        let (tb, _) = b.transverse_span();
+        let (zb, _) = b.vertical_span();
+        let key = [
+            ta,
+            za,
+            a.width(),
+            a.thickness(),
+            tb,
+            zb,
+            b.width(),
+            b.thickness(),
+        ]
+        .map(f64::to_bits);
+        self.map.get_or_insert_with(key, || pair_gmd(a, b))
+    }
+
+    /// `(hits, misses)` of [`GmdMemo::pair_gmd`] so far.
+    pub fn stats(&self) -> (u64, u64) {
+        self.map.stats()
+    }
 }
 
 /// [`bar_gmd`]'s near/far classification as a standalone predicate: far

@@ -50,6 +50,7 @@ pub mod fastop;
 pub mod gmd;
 mod h2;
 pub mod loop_l;
+mod memo;
 pub mod mesh;
 pub mod network;
 pub mod partial;
@@ -60,6 +61,7 @@ mod error;
 
 pub use error::PeecError;
 pub use fastop::{iterative_cutover, Compression, FastOpOptions, SolverBackend, ITERATIVE_CUTOVER};
+pub use gmd::GmdMemo;
 pub use loop_l::{BlockExtraction, BlockExtractor, PlaneSpec};
 pub use mesh::MeshSpec;
 pub use network::{AcNetwork, Branch};

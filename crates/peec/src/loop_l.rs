@@ -11,12 +11,13 @@
 //! `rlcx-core` calls for every grid point.
 
 use crate::fastop::SolverBackend;
+use crate::gmd::GmdMemo;
 use crate::mesh::MeshSpec;
 use crate::solver::{Conductor, PartialSystem};
 use crate::{PeecError, Result};
 use rlcx_geom::{Axis, Bar, Block, Point3, ShieldConfig, Stackup};
 use rlcx_numeric::lu::CLuDecomposition;
-use rlcx_numeric::{CMatrix, Complex, Matrix};
+use rlcx_numeric::{thread_count, CMatrix, Complex, Matrix};
 
 /// Loop impedance matrix over the signal conductors, with the ground
 /// conductors as a merged return.
@@ -289,6 +290,18 @@ impl BlockExtractor {
     ///   exist in the stackup,
     /// * solver errors propagated from the filament solve.
     pub fn extract(&self, block: &Block) -> Result<BlockExtraction> {
+        self.extract_memo(block, None)
+    }
+
+    /// [`BlockExtractor::extract`] with the partial-inductance matrix and
+    /// the dense filament solve taking their mutual GMDs from `memo` when
+    /// one is given (see [`GmdMemo`]). Bit-identical either way; the table
+    /// builder shares one memo across every block of a characterization.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`BlockExtractor::extract`].
+    pub fn extract_memo(&self, block: &Block, memo: Option<&GmdMemo>) -> Result<BlockExtraction> {
         let _span = rlcx_numeric::obs::span("peec.block_extract");
         rlcx_numeric::obs::counter_add("peec.block_extracts", 1);
         let layer = self.stackup.layer(self.layer_index)?;
@@ -300,7 +313,7 @@ impl BlockExtractor {
             .iter()
             .map(|&bar| Conductor::new(bar, rho).expect("validated rho"))
             .collect();
-        let lp = trace_sys.lp_matrix();
+        let lp = trace_sys.lp_matrix_memo(thread_count(), memo);
         let r_dc = trace_sys.dc_resistances();
 
         // Full system: traces + plane strips (if any).
@@ -346,7 +359,7 @@ impl BlockExtractor {
         // filaments (the strip decomposition already resolves the plane's
         // transverse current distribution).
         let mesh = self.mesh;
-        let z = sys.impedance_at_with_backend(
+        let z = sys.impedance_at_memo(
             self.frequency,
             |ci| {
                 if ci < n_traces {
@@ -356,6 +369,7 @@ impl BlockExtractor {
                 }
             },
             self.backend,
+            memo,
         )?;
         let signals = block.signal_indices();
         let z_loop = loop_impedance(&z, &signals, &grounds)?;

@@ -14,7 +14,7 @@
 //! All functions here take geometry in **microns** (consistent with
 //! `rlcx-geom`) and return SI henries/ohms.
 
-use crate::gmd::{bar_gmd, relative_gmd_with, self_gmd};
+use crate::gmd::{pair_gmd, relative_gmd_with, self_gmd, GmdMemo};
 use rlcx_geom::units::{um_to_m, MU_0};
 use rlcx_geom::Bar;
 use rlcx_numeric::quadrature::gauss_legendre_cached;
@@ -95,24 +95,25 @@ pub fn self_partial(bar: &Bar) -> f64 {
 ///
 /// Panics (debug) if the bars physically intersect.
 pub fn mutual_partial(a: &Bar, b: &Bar) -> f64 {
+    mutual_partial_memo(a, b, None)
+}
+
+/// [`mutual_partial`] with the cross-section GMD taken from `memo` when one
+/// is given. The memoized GMD has the same bits as the computed one, so the
+/// result is identical either way; only the length-dependent filament
+/// formula runs per call.
+///
+/// # Panics
+///
+/// Panics (debug) if the bars physically intersect.
+pub fn mutual_partial_memo(a: &Bar, b: &Bar, memo: Option<&GmdMemo>) -> f64 {
     if !a.is_parallel(b) {
         return 0.0;
     }
     debug_assert!(!substantially_intersects(a, b), "bars must not intersect");
-    let scale = a
-        .width()
-        .max(a.thickness())
-        .max(b.width())
-        .max(b.thickness());
-    let center = a.cross_section_distance(b);
-    let d_um = if center < 1e-9 * scale.max(1.0) {
-        // Collinear segments sharing a cross-section: use its self-GMD.
-        self_gmd(
-            0.5 * (a.width() + b.width()),
-            0.5 * (a.thickness() + b.thickness()),
-        )
-    } else {
-        bar_gmd(a, b)
+    let d_um = match memo {
+        Some(memo) => memo.pair_gmd(a, b),
+        None => pair_gmd(a, b),
     };
     let (a1, b1) = a.axial_span();
     let (a2, b2) = b.axial_span();
@@ -524,6 +525,26 @@ mod tests {
                 "dy={dy} dz={dz}: {m_abs} vs {m_rel}"
             );
         }
+    }
+
+    #[test]
+    fn memoized_mutual_is_bit_identical_and_length_free() {
+        let memo = GmdMemo::new();
+        for len in [200.0, 400.0] {
+            let a = Bar::new(Point3::new(0.0, 2.0, 10.0), Axis::X, len, 5.0, 2.0).unwrap();
+            // Near (integrated GMD), far (center distance) and collinear
+            // (self-GMD) branches.
+            for b in [
+                a.translated(0.0, 6.0, 0.0),
+                a.translated(0.0, 0.0, 30.0),
+                a.translated(len + 0.5, 0.0, 0.0),
+            ] {
+                let memoized = mutual_partial_memo(&a, &b, Some(&memo));
+                assert_eq!(memoized.to_bits(), mutual_partial(&a, &b).to_bits());
+            }
+        }
+        // The second length found every cross-section pair of the first.
+        assert_eq!(memo.stats(), (3, 3));
     }
 
     #[test]

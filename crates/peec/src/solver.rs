@@ -10,8 +10,9 @@
 use crate::fastop::{
     self, BlockDiagPrecond, FastOpOptions, FastZOperator, KernelCache, SolverBackend,
 };
+use crate::gmd::GmdMemo;
 use crate::mesh::MeshSpec;
-use crate::partial::{dc_resistance, mutual_partial, self_partial};
+use crate::partial::{dc_resistance, mutual_partial_memo, self_partial};
 use crate::{PeecError, Result};
 use rlcx_geom::Bar;
 use rlcx_numeric::lu::CLuDecomposition;
@@ -117,6 +118,12 @@ impl PartialSystem {
     /// the determinism tests compare `lp_matrix_with_threads(1)` against
     /// `lp_matrix_with_threads(n)` exactly.
     pub fn lp_matrix_with_threads(&self, threads: usize) -> Matrix {
+        self.lp_matrix_memo(threads, None)
+    }
+
+    /// [`PartialSystem::lp_matrix_with_threads`] with the mutual GMDs taken
+    /// from `memo` when one is given — bit-identical either way.
+    pub(crate) fn lp_matrix_memo(&self, threads: usize, memo: Option<&GmdMemo>) -> Matrix {
         let _span = obs::span("peec.lp_matrix");
         let n = self.len();
         obs::counter_add("peec.lp.conductors", n as u64);
@@ -126,7 +133,8 @@ impl PartialSystem {
             let mut row = vec![0.0; n - i];
             row[0] = self_partial(&self.conductors[i].bar);
             for j in (i + 1)..n {
-                row[j - i] = mutual_partial(&self.conductors[i].bar, &self.conductors[j].bar);
+                let (a, b) = (&self.conductors[i].bar, &self.conductors[j].bar);
+                row[j - i] = mutual_partial_memo(a, b, memo);
             }
             (i, row)
         });
@@ -218,16 +226,34 @@ impl PartialSystem {
         mesh_for: impl Fn(usize) -> MeshSpec,
         backend: SolverBackend,
     ) -> Result<CMatrix> {
-        let mut scratch = Timings::new();
-        self.impedance_at_backend(f, mesh_for, backend, &mut scratch)
+        self.impedance_at_memo(f, mesh_for, backend, None)
     }
 
-    /// The full impedance entry point: per-conductor mesh, explicit
-    /// [`SolverBackend`], per-stage timings. The stage names are shared by
-    /// both backends — `mesh`, `assemble` (dense fill / fast-operator
-    /// build), `factor` (dense LU inverse / block-preconditioner LUs) and
-    /// `reduce` (admittance collapse; on the iterative path this includes
-    /// the GMRES solves).
+    /// [`PartialSystem::impedance_at_with_backend`] with the dense filament
+    /// fill taking its mutual GMDs from `memo` when one is given (see
+    /// [`GmdMemo`]); the result is bit-identical either way. The iterative
+    /// backend does not consult the memo — it has its own per-solve
+    /// [`KernelCache`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PartialSystem::impedance_at_with_backend`].
+    pub fn impedance_at_memo(
+        &self,
+        f: f64,
+        mesh_for: impl Fn(usize) -> MeshSpec,
+        backend: SolverBackend,
+        memo: Option<&GmdMemo>,
+    ) -> Result<CMatrix> {
+        let mut scratch = Timings::new();
+        self.solve(f, mesh_for, backend, memo, &mut scratch)
+    }
+
+    /// [`PartialSystem::impedance_at_with_backend`] with per-stage timings.
+    /// The stage names are shared by both backends — `mesh`, `assemble`
+    /// (dense fill / fast-operator build), `factor` (dense LU inverse /
+    /// block-preconditioner LUs) and `reduce` (admittance collapse; on the
+    /// iterative path this includes the GMRES solves).
     ///
     /// # Errors
     ///
@@ -237,6 +263,19 @@ impl PartialSystem {
         f: f64,
         mesh_for: impl Fn(usize) -> MeshSpec,
         backend: SolverBackend,
+        timings: &mut Timings,
+    ) -> Result<CMatrix> {
+        self.solve(f, mesh_for, backend, None, timings)
+    }
+
+    /// The one impedance solve behind every entry point: per-conductor
+    /// mesh, explicit backend, optional GMD memo, per-stage timings.
+    fn solve(
+        &self,
+        f: f64,
+        mesh_for: impl Fn(usize) -> MeshSpec,
+        backend: SolverBackend,
+        memo: Option<&GmdMemo>,
         timings: &mut Timings,
     ) -> Result<CMatrix> {
         if !(f > 0.0 && f.is_finite()) {
@@ -268,7 +307,7 @@ impl PartialSystem {
         }
         let zf = timings.time("assemble", || {
             obs::with_span("peec.assemble", || {
-                filament_z_matrix(&fils, &rhos, omega, thread_count())
+                filament_z_matrix(&fils, &rhos, omega, thread_count(), memo)
             })
         });
         // Filaments of one conductor are in parallel between shared end
@@ -382,7 +421,7 @@ impl PartialSystem {
         let v = z_cond.mul_vec(conductor_currents)?;
         let (fils, owner, rhos) = self.meshed_filaments(|_| mesh);
         let omega = 2.0 * std::f64::consts::PI * f;
-        let zf = filament_z_matrix(&fils, &rhos, omega, thread_count());
+        let zf = filament_z_matrix(&fils, &rhos, omega, thread_count(), None);
         let rhs: Vec<Complex> = owner.iter().map(|&ci| v[ci]).collect();
         let i_f = CLuDecomposition::new(&zf)?.solve(&rhs)?;
         Ok(fils.into_iter().zip(i_f).collect())
@@ -409,7 +448,24 @@ impl PartialSystem {
         mesh: MeshSpec,
         backend: SolverBackend,
     ) -> Result<(Matrix, Matrix)> {
-        let z = self.impedance_at_with_backend(f, |_| mesh, backend)?;
+        self.rl_at_memo(f, mesh, backend, None)
+    }
+
+    /// [`PartialSystem::rl_at_backend`] through
+    /// [`PartialSystem::impedance_at_memo`]: bit-identical, with the dense
+    /// fill's mutual GMDs shared through `memo` when one is given.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PartialSystem::impedance_at_with_backend`] errors.
+    pub fn rl_at_memo(
+        &self,
+        f: f64,
+        mesh: MeshSpec,
+        backend: SolverBackend,
+        memo: Option<&GmdMemo>,
+    ) -> Result<(Matrix, Matrix)> {
+        let z = self.impedance_at_memo(f, |_| mesh, backend, memo)?;
         let omega = 2.0 * std::f64::consts::PI * f;
         let n = z.rows();
         let mut r = Matrix::zeros(n, n);
@@ -430,8 +486,15 @@ impl PartialSystem {
 /// The upper-triangle rows are independent pure computations (each entry is
 /// one GMD quadrature), so the fill is sharded with the same balanced,
 /// deterministic row interleaving as [`PartialSystem::lp_matrix_with_threads`]
-/// — the matrix is bit-identical for every thread count.
-fn filament_z_matrix(fils: &[Bar], rhos: &[f64], omega: f64, threads: usize) -> CMatrix {
+/// — the matrix is bit-identical for every thread count, with or without a
+/// GMD `memo`.
+fn filament_z_matrix(
+    fils: &[Bar],
+    rhos: &[f64],
+    omega: f64,
+    threads: usize,
+    memo: Option<&GmdMemo>,
+) -> CMatrix {
     let nf = fils.len();
     let rows = par_map_threads(threads, nf, |k| {
         let i = balanced_index(k, nf);
@@ -441,7 +504,7 @@ fn filament_z_matrix(fils: &[Bar], rhos: &[f64], omega: f64, threads: usize) -> 
             omega * self_partial(&fils[i]),
         );
         for j in (i + 1)..nf {
-            row[j - i] = Complex::from_imag(omega * mutual_partial(&fils[i], &fils[j]));
+            row[j - i] = Complex::from_imag(omega * mutual_partial_memo(&fils[i], &fils[j], memo));
         }
         (i, row)
     });

@@ -5,16 +5,21 @@
 //! This lives in its own test binary because it installs a counting
 //! `#[global_allocator]` and pins the trace level for the whole process;
 //! sharing a binary with other observability tests would race on both.
+//!
+//! The counter is process-wide on purpose: allocations made on worker
+//! threads must count too. That rules out the default test harness, whose
+//! own threads spawn and report other tests while one test is measuring
+//! and so land in its window. The binary is therefore built with
+//! `harness = false`: [`main`] warms the worker pool, then runs the checks
+//! one after another on the main thread, and prints libtest-style lines
+//! (`test <name> ... ok`) so runners see the same test names as before.
 
 use rlcx::obs::{self, TraceLevel};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{self, UnwindSafe};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-
-fn level_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::time::Instant;
 
 struct CountingAlloc;
 
@@ -37,9 +42,169 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
+/// Every check of this binary, in name order (the order libtest runs them
+/// in with one test thread).
+const TESTS: [(&str, fn()); 7] = [
+    (
+        "adaptive_step_loop_does_not_allocate",
+        adaptive_step_loop_does_not_allocate,
+    ),
+    (
+        "disabled_spans_do_not_allocate",
+        disabled_spans_do_not_allocate,
+    ),
+    ("enabled_spans_do_allocate", enabled_spans_do_allocate),
+    (
+        "sharded_metrics_are_allocation_free_and_bounded",
+        sharded_metrics_are_allocation_free_and_bounded,
+    ),
+    (
+        "sharded_metrics_scale_across_threads_without_allocating",
+        sharded_metrics_scale_across_threads_without_allocating,
+    ),
+    (
+        "transient_step_loop_does_not_allocate",
+        transient_step_loop_does_not_allocate,
+    ),
+    (
+        "warm_kernel_fill_block_does_not_allocate",
+        warm_kernel_fill_block_does_not_allocate,
+    ),
+];
+
+/// The libtest command-line subset this harness honours: name filters
+/// (substring, or whole-name with `--exact`), `--skip`, `--list`,
+/// `--ignored` (nothing here is ignored) and `-q`/`--quiet` or
+/// `--format terse|pretty`. Other flags, such as `--test-threads`, are
+/// accepted and have no effect: the checks always run serially.
+struct Args {
+    filters: Vec<String>,
+    skips: Vec<String>,
+    exact: bool,
+    list: bool,
+    ignored_only: bool,
+    terse: bool,
+}
+
+impl Args {
+    fn parse() -> Args {
+        let mut args = Args {
+            filters: Vec::new(),
+            skips: Vec::new(),
+            exact: false,
+            list: false,
+            ignored_only: false,
+            terse: false,
+        };
+        let mut it = std::env::args().skip(1);
+        while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
+                _ => (arg.clone(), None),
+            };
+            let mut value = |inline: Option<String>| inline.or_else(|| it.next());
+            match flag.as_str() {
+                "--exact" => args.exact = true,
+                "--list" => args.list = true,
+                "--ignored" => args.ignored_only = true,
+                "-q" | "--quiet" => args.terse = true,
+                "--format" => args.terse = value(inline).as_deref() == Some("terse"),
+                "--skip" => args.skips.extend(value(inline)),
+                "--test-threads" | "--color" | "--logfile" | "--shuffle-seed" | "-Z" => {
+                    value(inline);
+                }
+                f if f.starts_with('-') => {}
+                _ => args.filters.push(arg),
+            }
+        }
+        args
+    }
+
+    fn selects(&self, name: &str) -> bool {
+        let hit = |f: &String| {
+            if self.exact {
+                name == f
+            } else {
+                name.contains(f.as_str())
+            }
+        };
+        (self.filters.is_empty() || self.filters.iter().any(hit)) && !self.skips.iter().any(hit)
+    }
+}
+
+fn main() -> ExitCode {
+    let args = Args::parse();
+    let selected: Vec<(&str, fn())> = TESTS
+        .into_iter()
+        .filter(|&(name, _)| !args.ignored_only && args.selects(name))
+        .collect();
+    let filtered_out = TESTS.len() - selected.len();
+    if args.list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        if !args.terse {
+            println!("\n{} tests, 0 benchmarks", selected.len());
+        }
+        return ExitCode::SUCCESS;
+    }
+
+    // Spawn the worker pool before any measurement: thread start-up
+    // allocates, and later checks dispatch onto these workers.
+    let _ = rlcx::numeric::par_map_threads(4, 64, |i| i);
+
+    let plural = if selected.len() == 1 { "" } else { "s" };
+    println!("\nrunning {} test{plural}", selected.len());
+    let start = Instant::now();
+    let mut failed = Vec::new();
+    for (name, check) in &selected {
+        let ok = run_check(*check);
+        if args.terse {
+            print!("{}", if ok { '.' } else { 'F' });
+        } else {
+            println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        }
+        if !ok {
+            failed.push(*name);
+        }
+    }
+    if args.terse {
+        println!();
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    if !args.terse || !failed.is_empty() {
+        println!();
+    }
+    println!(
+        "test result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        filtered_out,
+        start.elapsed().as_secs_f64()
+    );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(101)
+    }
+}
+
+/// Runs one check, reporting a panic (failed assertion) as `false`; the
+/// panic message itself goes to stderr through the default hook.
+fn run_check(check: impl FnOnce() + UnwindSafe) -> bool {
+    let ok = panic::catch_unwind(check).is_ok();
+    obs::set_trace_level(TraceLevel::Off);
+    ok
+}
+
 fn disabled_spans_do_not_allocate() {
-    let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
 
     // Warm the thread-local span stack and any lazily-initialized state so
@@ -68,11 +233,9 @@ fn disabled_spans_do_not_allocate() {
 /// performs *exactly* as many allocations as a 50-step run of the same
 /// fresh circuit. Any per-step `Vec`, boxing, or map insert would make
 /// the counts diverge by hundreds.
-#[test]
 fn transient_step_loop_does_not_allocate() {
     use rlcx::spice::{Netlist, SolverEngine, Transient, Waveform, GROUND};
 
-    let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
 
     fn ladder(sections: usize) -> Netlist {
@@ -126,13 +289,11 @@ fn transient_step_loop_does_not_allocate() {
 /// heap-free too. Same invariance argument as above: a 4× longer window
 /// takes ~4× the accepted steps, so any per-step allocation would make
 /// the counts diverge.
-#[test]
 fn adaptive_step_loop_does_not_allocate() {
     use rlcx::spice::{
         AdaptiveOptions, Netlist, SolverEngine, Stepping, Transient, Waveform, GROUND,
     };
 
-    let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
 
     fn ladder(sections: usize) -> Netlist {
@@ -184,10 +345,7 @@ fn adaptive_step_loop_does_not_allocate() {
 /// Asserted both with tracing off and with tracing on (the metric path is
 /// independent of the span level), plus a generous wall-clock bound per
 /// operation to catch accidental lock convoys.
-#[test]
 fn sharded_metrics_are_allocation_free_and_bounded() {
-    let _guard = level_lock();
-
     for level in [TraceLevel::Off, TraceLevel::Summary] {
         obs::set_trace_level(level);
         // Warm: intern the names, allocate the bucket arrays, register the
@@ -235,9 +393,7 @@ fn sharded_metrics_are_allocation_free_and_bounded() {
 /// stay allocation-free after warmup on every participating thread (each
 /// thread's first touch claims its shard slot; afterwards it is a single
 /// atomic add).
-#[test]
 fn sharded_metrics_scale_across_threads_without_allocating() {
-    let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
 
     let threads = 4;
@@ -278,12 +434,10 @@ fn sharded_metrics_scale_across_threads_without_allocating() {
 /// buffer — across calls, so a warm-cache fill is pure hash lookups into
 /// the sharded store. Proof by invariance: after warmup, a short and a 3×
 /// longer fill sequence must allocate identically, and both must be zero.
-#[test]
 fn warm_kernel_fill_block_does_not_allocate() {
     use rlcx::geom::{Axis, Bar, Point3};
     use rlcx::peec::fastop::KernelCache;
 
-    let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
 
     let fils: Vec<Bar> = (0..24)
@@ -325,9 +479,7 @@ fn warm_kernel_fill_block_does_not_allocate() {
 
 /// Enabling tracing does allocate (records are stored) — a sanity check
 /// that the counter itself works, so the zero above is meaningful.
-#[test]
 fn enabled_spans_do_allocate() {
-    let _guard = level_lock();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     obs::set_trace_level(TraceLevel::Summary);
     for _ in 0..64 {

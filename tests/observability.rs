@@ -103,6 +103,24 @@ fn metrics_accumulate_across_threads() {
     }
 }
 
+/// A build publishes its GMD memo's hit and miss totals once, from the
+/// memo's shard counters. The length axis repeats every cross-section
+/// pair, so lookups must hit more often than they miss.
+#[test]
+fn table_build_publishes_gmd_memo_counters() {
+    let _guard = level_lock();
+    let hits_before = obs::counter_value("table.gmd.hits");
+    let misses_before = obs::counter_value("table.gmd.misses");
+    small_builder().build().unwrap();
+    let hits = obs::counter_value("table.gmd.hits") - hits_before;
+    let misses = obs::counter_value("table.gmd.misses") - misses_before;
+    assert!(misses > 0, "a cold build computes some GMDs");
+    assert!(
+        hits > misses,
+        "memo hits {hits} must exceed misses {misses}"
+    );
+}
+
 /// A report built from a real run (figures + timings + metrics + spans)
 /// survives the JSON round-trip losslessly.
 #[test]

@@ -4,9 +4,10 @@
 
 use rlcx::core::{CacheMiss, TableBuilder, TableCache};
 use rlcx::geom::units::RHO_COPPER;
-use rlcx::geom::{Axis, Bar, Point3, Stackup};
+use rlcx::geom::{Axis, Bar, Block, Point3, ShieldConfig, Stackup};
+use rlcx::numeric::with_thread_count;
 use rlcx::obs;
-use rlcx::peec::{Conductor, MeshSpec, PartialSystem};
+use rlcx::peec::{BlockExtractor, Conductor, MeshSpec, PartialSystem, SolverBackend};
 use std::path::PathBuf;
 
 fn bus(n: usize) -> PartialSystem {
@@ -195,4 +196,84 @@ fn build_timings_cover_all_stages() {
         "warm build must not characterize"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `small_builder` with both loop-table shield configurations.
+fn two_shield_builder() -> TableBuilder {
+    small_builder().shields(vec![ShieldConfig::Coplanar, ShieldConfig::PlaneBelow])
+}
+
+/// A table build shares one GMD memo across all its solves. Every grid
+/// value it stores must equal, bit for bit, the direct un-memoized solve
+/// at the same point — self and mutual through `rl_at_backend`, loop L and
+/// R through `BlockExtractor::extract` — at any worker-thread count.
+#[test]
+fn memoized_build_matches_direct_solves_bit_for_bit() {
+    let stackup = Stackup::hp_six_metal_copper();
+    let layer = stackup.layer(5).unwrap();
+    let (rho, t, z) = (layer.resistivity(), layer.thickness(), layer.z_bottom());
+    let (f, mesh) = (3.2e9, MeshSpec::new(2, 1));
+    let widths = [1.0, 2.0, 5.0];
+    let spacings = [0.5, 1.0, 2.0];
+    let lengths = [200.0, 400.0, 800.0];
+    let bar = |y: f64, len: f64, w: f64| Bar::new(Point3::new(0.0, y, z), Axis::X, len, w, t);
+    let solve = |bars: &[Bar]| -> f64 {
+        let sys: PartialSystem = bars
+            .iter()
+            .map(|&b| Conductor::new(b, rho).unwrap())
+            .collect();
+        let (_, l) = sys.rl_at_backend(f, mesh, SolverBackend::Auto).unwrap();
+        l[(0, bars.len() - 1)]
+    };
+    let extractor = BlockExtractor::new(stackup.clone(), 5)
+        .unwrap()
+        .frequency(f)
+        .mesh(mesh)
+        .plane_strips(10);
+
+    for threads in [1, 2, 7] {
+        let tables = with_thread_count(threads, || two_shield_builder().build().unwrap());
+        for (i, &w) in widths.iter().enumerate() {
+            for (k, &len) in lengths.iter().enumerate() {
+                let direct = solve(&[bar(0.0, len, w).unwrap()]);
+                let stored = tables.self_l.grid()[i][k];
+                assert_eq!(stored.to_bits(), direct.to_bits(), "self w={w} len={len}");
+                for shield in [ShieldConfig::Coplanar, ShieldConfig::PlaneBelow] {
+                    let block = Block::coplanar_waveguide(len, w, w, 1.0)
+                        .unwrap()
+                        .with_shield(shield);
+                    let out = extractor.extract(&block).unwrap();
+                    let table = tables.loop_table(shield).unwrap();
+                    let (l, r) = (table.l_grid()[i][k], table.r_grid()[i][k]);
+                    let what = format!("{shield:?} w={w} len={len} threads={threads}");
+                    assert_eq!(l.to_bits(), out.loop_l[(0, 0)].to_bits(), "loop L {what}");
+                    assert_eq!(r.to_bits(), out.loop_r[(0, 0)].to_bits(), "loop R {what}");
+                }
+            }
+        }
+        for (i, &wi) in widths.iter().enumerate() {
+            for (j, &wj) in widths.iter().enumerate().skip(i) {
+                for (si, &s) in spacings.iter().enumerate() {
+                    for (k, &len) in lengths.iter().enumerate() {
+                        let direct =
+                            solve(&[bar(0.0, len, wi).unwrap(), bar(wi + s, len, wj).unwrap()]);
+                        let stored = tables.mutual_l.grid()[i][j][si][k];
+                        assert_eq!(
+                            stored.to_bits(),
+                            direct.to_bits(),
+                            "mutual w={wi}/{wj} s={s} len={len} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The GMD memo is an implementation detail of a build: the cache key of
+/// a builder is pinned to its value from before the memo existed, so
+/// persisted `tables-<key>.txt` files stay valid.
+#[test]
+fn cache_key_is_pinned() {
+    assert_eq!(two_shield_builder().cache_key(), "98c0e0cc01967a81");
 }

@@ -60,7 +60,6 @@ fn main() {
     let t_cold = t0.elapsed().as_secs_f64();
     assert!(!cold.cache_hit);
     println!("{:<48} {:>12}", "table_build/cold_cache", fmt_time(t_cold));
-    println!("cold-build stage breakdown:\n{}", cold.timings);
     let t_warm = Bench::new("table_build/warm_cache").samples(5).run(|| {
         let warm = builder.build_cached(&dir).unwrap();
         assert!(warm.cache_hit);

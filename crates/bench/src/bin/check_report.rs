@@ -99,7 +99,7 @@ mod tests {
     fn passes_and_fails_on_bounds() {
         let report = write_tmp(
             "report",
-            r#"{"schema":"rlcx-report","version":1,"name":"t",
+            r#"{"schema":"rlcx-report","version":2,"name":"t",
                 "figures":{"err":0.02,"speedup":500.0}}"#,
         );
         let ok = write_tmp("ok", r#"{"err":{"max":0.05},"speedup":{"min":100.0}}"#);

@@ -70,7 +70,7 @@ fn main() {
     let build = rlcx_bench::experiment_tables_cached();
     let t_build = t0.elapsed();
     println!(
-        "table characterization: {:.2} s ({})",
+        "table characterization: {:.2} s ({})\n",
         t_build.as_secs_f64(),
         if build.cache_hit {
             "warm cache — solver skipped"
@@ -78,9 +78,7 @@ fn main() {
             "cold — full solve"
         }
     );
-    println!("stage breakdown:\n{}\n", build.timings);
     report.note("cache", if build.cache_hit { "hit" } else { "miss" });
-    report.absorb_timings(&build.timings);
     report.figure("table.build_s", t_build.as_secs_f64());
     let tables = build.tables;
 

@@ -8,7 +8,6 @@
 //!
 //! * `figures.<name>` — accuracy/speedup figures
 //! * `samples.<name>.median_s` / `.min_s` — bench samples
-//! * `timings.<label>` — stage seconds
 //! * `metrics.<name>` — counter/gauge values
 //! * `metrics.<name>.count` / `.mean` / `.min` / `.max` / `.p50` / `.p90`
 //!   / `.p99` — histogram summaries and quantiles
@@ -23,7 +22,7 @@
 //!   "keys": {
 //!     "metrics.gmres.iters.p99": {"gate": true, "rel": 0.25, "dir": "up"},
 //!     "figures.agree.*":         {"gate": true, "rel": 0.10},
-//!     "timings.*":               {"gate": false}
+//!     "samples.*":               {"gate": false}
 //!   }
 //! }
 //! ```
@@ -134,9 +133,6 @@ fn flatten(report: &RunReport) -> Vec<(String, f64)> {
     for s in &report.samples {
         out.push((format!("samples.{}.median_s", s.name), s.median_s));
         out.push((format!("samples.{}.min_s", s.name), s.min_s));
-    }
-    for (label, secs) in &report.timings {
-        out.push((format!("timings.{label}"), *secs));
     }
     for (name, m) in &report.metrics {
         match *m {
@@ -365,7 +361,6 @@ mod tests {
     fn flatten_covers_every_section() {
         let mut r = report(&[("err", 0.5)], Some(20.0));
         r.sample("lookup", 2e-6, 1e-6, 5);
-        r.timings.push(("stage".into(), 0.25));
         r.series.push(rlcx::obs::SeriesSnapshot {
             name: "gmres.residual".into(),
             capacity: 4096,
@@ -376,7 +371,6 @@ mod tests {
         let get = |k: &str| flat.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
         assert_eq!(get("figures.err"), Some(0.5));
         assert_eq!(get("samples.lookup.median_s"), Some(2e-6));
-        assert_eq!(get("timings.stage"), Some(0.25));
         assert_eq!(get("metrics.gmres.iters.p99"), Some(20.0));
         assert_eq!(get("metrics.gmres.iters.mean"), Some(10.0));
         assert_eq!(get("series.gmres.residual.pushed"), Some(7.0));
@@ -424,7 +418,7 @@ mod tests {
         );
         assert!(tol.lookup("figures.err").gate);
         assert!(!tol.lookup("figures.noise.a").gate);
-        assert!(!tol.lookup("timings.x").gate, "default is report-only");
+        assert!(!tol.lookup("samples.x").gate, "default is report-only");
         // abs: |Δ| = 5e-7 ≤ 1e-6 passes although rel change is huge.
         let base = report(&[("tiny", 1e-9)], None);
         let rows = diff(&report(&[("tiny", 5e-7)], None), &base, &tol);

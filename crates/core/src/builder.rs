@@ -16,8 +16,7 @@ use crate::table::{InductanceTables, LoopLTable, MutualLTable, SelfLTable};
 use crate::Result;
 use rlcx_geom::{Axis, Bar, Block, Point3, ShieldConfig, Stackup};
 use rlcx_numeric::obs;
-use rlcx_numeric::parallel::{balanced_index, par_map_timed};
-use rlcx_numeric::Timings;
+use rlcx_numeric::parallel::{balanced_index, par_map};
 use rlcx_peec::{BlockExtractor, Conductor, GmdMemo, MeshSpec, PartialSystem, SolverBackend};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -165,19 +164,6 @@ impl TableBuilder {
     /// Propagates solver errors; returns [`crate::CoreError::BadAxis`] for invalid
     /// axes.
     pub fn build(&self) -> Result<InductanceTables> {
-        self.build_timed().map(|(tables, _)| tables)
-    }
-
-    /// [`TableBuilder::build`] with a per-stage wall-clock breakdown:
-    /// `self-table`, `mutual-table` and `loop-tables`, plus the per-shard
-    /// CPU sums `self-solve-cpu`, `mutual-solve-cpu` and `loop-solve-cpu`
-    /// accumulated across all worker threads (so a parallel sweep reports
-    /// its true solver cost, not just the wall clock of the slowest shard).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TableBuilder::build`].
-    pub fn build_timed(&self) -> Result<(InductanceTables, Timings)> {
         let _span = obs::span("table.build");
         let memo = GmdMemo::new();
         let built = self.characterize(&memo);
@@ -187,58 +173,44 @@ impl TableBuilder {
         built
     }
 
-    /// The three sweeps of [`TableBuilder::build_timed`], sharing `memo`.
-    fn characterize(&self, memo: &GmdMemo) -> Result<(InductanceTables, Timings)> {
-        let mut timings = Timings::new();
-        let (self_l, cpu) = timings.time("self-table", || {
-            obs::with_span("table.self", || self.characterize_self(memo))
-        })?;
-        timings.absorb(&cpu);
-        let (mutual_l, cpu) = timings.time("mutual-table", || {
-            obs::with_span("table.mutual", || self.characterize_mutual(memo))
-        })?;
-        timings.absorb(&cpu);
-        let (loop_tables, cpu) = timings.time("loop-tables", || {
-            obs::with_span("table.loop", || self.characterize_loops(memo))
-        })?;
-        timings.absorb(&cpu);
+    /// The three sweeps of [`TableBuilder::build`], sharing `memo`, each
+    /// under its own span (`table.self`, `table.mutual`, `table.loop`).
+    fn characterize(&self, memo: &GmdMemo) -> Result<InductanceTables> {
+        let self_l = obs::with_span("table.self", || self.characterize_self(memo))?;
+        let mutual_l = obs::with_span("table.mutual", || self.characterize_mutual(memo))?;
+        let loop_tables = obs::with_span("table.loop", || self.characterize_loops(memo))?;
         let tables = InductanceTables::new(self_l, mutual_l, loop_tables, self.frequency);
         obs::gauge_set("spline.max_resid", self_table_knot_residual(&tables.self_l));
-        Ok((tables, timings))
+        Ok(tables)
     }
 
     /// Self table: 1-trace solves at the significant frequency, one grid
     /// point per parallel work item.
-    fn characterize_self(&self, memo: &GmdMemo) -> Result<(SelfLTable, Timings)> {
+    fn characterize_self(&self, memo: &GmdMemo) -> Result<SelfLTable> {
         let layer = self.stackup.layer(self.layer_index)?;
         let (rho, t, z) = (layer.resistivity(), layer.thickness(), layer.z_bottom());
         let nl = self.lengths.len();
         let n_points = self.widths.len() * nl;
         obs::counter_add("table.points.self", n_points as u64);
-        let (points, cpu) = par_map_timed(n_points, |p, tm| -> Result<f64> {
-            tm.time("self-solve-cpu", || {
-                let (w, len) = (self.widths[p / nl], self.lengths[p % nl]);
-                let bar = Bar::new(Point3::new(0.0, 0.0, z), Axis::X, len, w, t)?;
-                let sys: PartialSystem = [Conductor::new(bar, rho)?].into_iter().collect();
-                let (_, l) = sys.rl_at_memo(self.frequency, self.mesh, self.backend, Some(memo))?;
-                Ok(l[(0, 0)])
-            })
+        let points = par_map(n_points, |p| -> Result<f64> {
+            let (w, len) = (self.widths[p / nl], self.lengths[p % nl]);
+            let bar = Bar::new(Point3::new(0.0, 0.0, z), Axis::X, len, w, t)?;
+            let sys: PartialSystem = [Conductor::new(bar, rho)?].into_iter().collect();
+            let (_, l) = sys.rl_at_memo(self.frequency, self.mesh, self.backend, Some(memo))?;
+            Ok(l[(0, 0)])
         });
         let mut self_grid = Vec::with_capacity(self.widths.len());
         let mut it = points.into_iter();
         for _ in 0..self.widths.len() {
             self_grid.push(it.by_ref().take(nl).collect::<Result<Vec<f64>>>()?);
         }
-        Ok((
-            SelfLTable::from_grid(self.widths.clone(), self.lengths.clone(), self_grid)?,
-            cpu,
-        ))
+        SelfLTable::from_grid(self.widths.clone(), self.lengths.clone(), self_grid)
     }
 
     /// Mutual table: 2-trace solves, symmetric in the width pair — only the
     /// `i ≤ j` pairs are solved, flattened with spacing × length into the
     /// parallel point list, then mirrored.
-    fn characterize_mutual(&self, memo: &GmdMemo) -> Result<(MutualLTable, Timings)> {
+    fn characterize_mutual(&self, memo: &GmdMemo) -> Result<MutualLTable> {
         let layer = self.stackup.layer(self.layer_index)?;
         let (rho, t, z) = (layer.resistivity(), layer.thickness(), layer.z_bottom());
         let nw = self.widths.len();
@@ -251,26 +223,24 @@ impl TableBuilder {
         // point list keeps all long-trace points adjacent — interleave work
         // items through `balanced_index` so every worker draws a mix of
         // cheap and expensive solves, then scatter back into grid order.
-        let (interleaved, cpu) = par_map_timed(n_points, |k, tm| -> Result<(usize, f64)> {
-            tm.time("mutual-solve-cpu", || {
-                let p = balanced_index(k, n_points);
-                let (i, j) = pairs[p / (ns * nl)];
-                let s = self.spacings[p / nl % ns];
-                let len = self.lengths[p % nl];
-                let a = Bar::new(Point3::new(0.0, 0.0, z), Axis::X, len, self.widths[i], t)?;
-                let b = Bar::new(
-                    Point3::new(0.0, self.widths[i] + s, z),
-                    Axis::X,
-                    len,
-                    self.widths[j],
-                    t,
-                )?;
-                let sys: PartialSystem = [Conductor::new(a, rho)?, Conductor::new(b, rho)?]
-                    .into_iter()
-                    .collect();
-                let (_, l) = sys.rl_at_memo(self.frequency, self.mesh, self.backend, Some(memo))?;
-                Ok((p, l[(0, 1)]))
-            })
+        let interleaved = par_map(n_points, |k| -> Result<(usize, f64)> {
+            let p = balanced_index(k, n_points);
+            let (i, j) = pairs[p / (ns * nl)];
+            let s = self.spacings[p / nl % ns];
+            let len = self.lengths[p % nl];
+            let a = Bar::new(Point3::new(0.0, 0.0, z), Axis::X, len, self.widths[i], t)?;
+            let b = Bar::new(
+                Point3::new(0.0, self.widths[i] + s, z),
+                Axis::X,
+                len,
+                self.widths[j],
+                t,
+            )?;
+            let sys: PartialSystem = [Conductor::new(a, rho)?, Conductor::new(b, rho)?]
+                .into_iter()
+                .collect();
+            let (_, l) = sys.rl_at_memo(self.frequency, self.mesh, self.backend, Some(memo))?;
+            Ok((p, l[(0, 1)]))
         });
         let mut points = vec![0.0f64; n_points];
         for item in interleaved {
@@ -287,20 +257,17 @@ impl TableBuilder {
             mutual_grid[i][j] = per_spacing.clone();
             mutual_grid[j][i] = per_spacing;
         }
-        Ok((
-            MutualLTable::from_grid(
-                self.widths.clone(),
-                self.spacings.clone(),
-                self.lengths.clone(),
-                mutual_grid,
-            )?,
-            cpu,
-        ))
+        MutualLTable::from_grid(
+            self.widths.clone(),
+            self.spacings.clone(),
+            self.lengths.clone(),
+            mutual_grid,
+        )
     }
 
     /// Loop tables: full G-S-G (+ plane) block extraction per config, one
     /// (width, length) grid point per parallel work item.
-    fn characterize_loops(&self, memo: &GmdMemo) -> Result<(Vec<LoopLTable>, Timings)> {
+    fn characterize_loops(&self, memo: &GmdMemo) -> Result<Vec<LoopLTable>> {
         let extractor = BlockExtractor::new(self.stackup.clone(), self.layer_index)?
             .frequency(self.frequency)
             .mesh(self.mesh)
@@ -308,25 +275,21 @@ impl TableBuilder {
             .backend(self.backend);
         let nl = self.lengths.len();
         let mut loop_tables = Vec::with_capacity(self.shields.len());
-        let mut cpu = Timings::new();
         for &shield in &self.shields {
             let n_points = self.widths.len() * nl;
             obs::counter_add("table.points.loop", n_points as u64);
-            let (points, shield_cpu) = par_map_timed(n_points, |p, tm| -> Result<(f64, f64)> {
-                tm.time("loop-solve-cpu", || {
-                    let (w, len) = (self.widths[p / nl], self.lengths[p % nl]);
-                    let block = Block::coplanar_waveguide(
-                        len,
-                        w,
-                        w * self.ground_width_ratio,
-                        self.loop_spacing,
-                    )?
-                    .with_shield(shield);
-                    let out = extractor.extract_memo(&block, Some(memo))?;
-                    Ok((out.loop_l[(0, 0)], out.loop_r[(0, 0)]))
-                })
+            let points = par_map(n_points, |p| -> Result<(f64, f64)> {
+                let (w, len) = (self.widths[p / nl], self.lengths[p % nl]);
+                let block = Block::coplanar_waveguide(
+                    len,
+                    w,
+                    w * self.ground_width_ratio,
+                    self.loop_spacing,
+                )?
+                .with_shield(shield);
+                let out = extractor.extract_memo(&block, Some(memo))?;
+                Ok((out.loop_l[(0, 0)], out.loop_r[(0, 0)]))
             });
-            cpu.absorb(&shield_cpu);
             let mut l_grid = Vec::with_capacity(self.widths.len());
             let mut r_grid = Vec::with_capacity(self.widths.len());
             let mut it = points.into_iter();
@@ -345,7 +308,7 @@ impl TableBuilder {
                 r_grid,
             )?);
         }
-        Ok((loop_tables, cpu))
+        Ok(loop_tables)
     }
 
     /// Content-hash key identifying this characterization: any change to
@@ -408,7 +371,7 @@ impl TableBuilder {
     /// Builds the tables through the persistent cache in `dir`: on a key
     /// hit the stored tables are loaded and the field solver never runs; on
     /// a miss (no file, version/key mismatch, or corrupt file) the tables
-    /// are characterized as in [`TableBuilder::build_timed`] and stored.
+    /// are characterized as in [`TableBuilder::build`] and stored.
     ///
     /// # Errors
     ///
@@ -418,21 +381,17 @@ impl TableBuilder {
     pub fn build_cached(&self, dir: impl AsRef<Path>) -> Result<CachedBuild> {
         let cache = TableCache::new(dir);
         let key = self.cache_key();
-        let mut timings = Timings::new();
-        match timings.time("cache-probe", || cache.lookup(&key)) {
+        match cache.lookup(&key) {
             Ok(tables) => Ok(CachedBuild {
                 tables,
-                timings,
                 cache_hit: true,
                 miss_reason: None,
             }),
             Err(reason) => {
-                let (tables, build_timings) = self.build_timed()?;
-                timings.absorb(&build_timings);
-                timings.time("cache-store", || cache.store(&key, &tables))?;
+                let tables = self.build()?;
+                cache.store(&key, &tables)?;
                 Ok(CachedBuild {
                     tables,
-                    timings,
                     cache_hit: false,
                     miss_reason: Some(reason),
                 })
@@ -446,9 +405,6 @@ impl TableBuilder {
 pub struct CachedBuild {
     /// The characterized (or cache-loaded) tables.
     pub tables: InductanceTables,
-    /// Per-stage breakdown: `cache-probe` always; `self-table`,
-    /// `mutual-table`, `loop-tables` and `cache-store` only on a miss.
-    pub timings: Timings,
     /// True when the tables came from the cache and no solve ran.
     pub cache_hit: bool,
     /// On a miss, why the probe failed (`None` on a hit).

@@ -11,7 +11,7 @@
 //!   refactorization and transposed solves,
 //! * [`condest`] — Hager one-norm condition estimation and iterative
 //!   refinement over solve callbacks (dense or sparse),
-//! * [`gmres`] — restarted GMRES over `f64`/[`Complex`] with a matrix-free
+//! * [`gmres`](mod@gmres) — restarted GMRES over `f64`/[`Complex`] with a matrix-free
 //!   [`gmres::LinearOperator`] trait, the Krylov engine behind the fast
 //!   PEEC solve path,
 //! * [`mor`] — PRIMA-style passive model-order reduction: block-Arnoldi
@@ -35,11 +35,10 @@
 //!   dispatch per GMRES matvec,
 //! * [`rng`] — a seedable SplitMix64 generator so the workspace never
 //!   needs an external `rand` crate,
-//! * [`timing`] — ordered stage timers ([`timing::Timings`]) for
-//!   per-stage extraction breakdowns,
 //! * [`obs`] — the `rlcx-obs` observability layer: nestable tracing spans
-//!   (`RLCX_TRACE=off|summary|verbose`), a global metrics registry and
-//!   machine-readable JSON run reports ([`obs::RunReport`]).
+//!   (`RLCX_TRACE=off|summary|verbose`), the one per-stage clock of the
+//!   workspace, a global metrics registry and machine-readable JSON run
+//!   reports ([`obs::RunReport`]).
 //!
 //! # Example
 //!
@@ -70,7 +69,6 @@ pub mod rng;
 pub mod sparse;
 pub mod spline;
 pub mod stats;
-pub mod timing;
 
 mod error;
 
@@ -78,13 +76,9 @@ pub use complex::Complex;
 pub use error::NumericError;
 pub use gmres::{gmres, GmresOptions, GmresSolution, LinearOperator};
 pub use matrix::{CMatrix, Matrix};
-pub use parallel::{
-    balanced_index, par_map, par_map_threads, par_map_threads_timed, par_map_timed, thread_count,
-    with_thread_count,
-};
+pub use parallel::{balanced_index, par_map, par_map_threads, thread_count, with_thread_count};
 pub use rng::{SplitMix64, UniformRng};
 pub use sparse::{CscMatrix, SparseLu, TripletBuilder};
-pub use timing::Timings;
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, NumericError>;

@@ -17,7 +17,7 @@
 //! * [`ReducedSystem::pole_residue`] — a dense eigensolve of the reduced
 //!   pencil ([`eig`]) that converts the state-space macromodel into a
 //!   [`PoleResidueModel`], whose piecewise-linear-input responses are
-//!   analytic ([`response`]): 50 % delay and slew come from a bisection
+//!   analytic (the `response` module): 50 % delay and slew come from a bisection
 //!   on an exact expression, not from time stepping.
 //!
 //! Moment matching: with `q` Arnoldi vectors the projection matches the

@@ -291,7 +291,7 @@ impl PoleResidueModel {
 
     /// First time the closed-form response of `output` crosses
     /// `threshold` within `[0, horizon]`: a scan over
-    /// [`CROSS_SCAN_SAMPLES`] points brackets the crossing, bisection
+    /// `CROSS_SCAN_SAMPLES` points brackets the crossing, bisection
     /// polishes it. Returns `Ok(None)` when the response never crosses.
     ///
     /// # Errors

@@ -1,11 +1,12 @@
 //! `rlcx-obs` — structured tracing, solver metrics and machine-readable
 //! run reports for the extraction pipeline.
 //!
-//! Field-solver runs are opaque without instrumentation: the wall-clock
-//! `Timings` table says *how long* a stage took but not how many filaments
-//! were meshed, whether the table cache hit, or how large the LU factors
-//! were. This module family is the zero-dependency observability layer the
-//! whole workspace records into:
+//! Field-solver runs are opaque without instrumentation: a wall clock says
+//! *how long* a run took but not which stage the time went to, how many
+//! filaments were meshed, whether the table cache hit, or how large the LU
+//! factors were. This module family is the zero-dependency observability
+//! layer the whole workspace records into, and its spans are the one
+//! per-stage clock:
 //!
 //! * [`trace`] — nestable named [`span`]s with wall-clock and thread id,
 //!   env-filtered via `RLCX_TRACE=off|summary|verbose`. `off` (the default)

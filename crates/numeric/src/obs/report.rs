@@ -2,9 +2,9 @@
 //!
 //! A [`RunReport`] is the one artifact a bench or experiment binary leaves
 //! behind: accuracy figures (the paper-validation deltas), bench samples,
-//! stage timings, the metric registry snapshot and the aggregated span
-//! tree, serialized as stable JSON under `target/reports/<name>.json` so
-//! successive PRs can diff them.
+//! the metric registry snapshot and the aggregated span tree (the run's
+//! per-stage time breakdown), serialized as stable JSON under
+//! `target/reports/<name>.json` so successive PRs can diff them.
 //!
 //! # Schema (`rlcx-report` version 2)
 //!
@@ -15,10 +15,10 @@
 //!   "name": "exp_table_accuracy",
 //!   "created_unix": 1754500000,
 //!   "env": {"threads": "8", "trace": "summary",
-//!           "available_parallelism": "8", "profile": "release"},
+//!           "available_parallelism": "8", "profile": "release",
+//!           "cpu_model": "AMD EPYC 7B13"},
 //!   "figures": {"self_l.max_rel_err": 0.0021},
 //!   "samples": [{"name": "lookup", "median_s": 1e-6, "min_s": 9e-7, "n": 10}],
-//!   "timings": {"self-table": 0.41},
 //!   "metrics": {"cache.hit": {"type": "counter", "value": 1}},
 //!   "spans": [{"path": "table.build", "depth": 0, "count": 1, "total_s": 0.5}],
 //!   "series": [{"name": "gmres.residual", "capacity": 4096, "pushed": 37,
@@ -26,17 +26,15 @@
 //! }
 //! ```
 //!
-//! Version 2 (PR 7) added the `series` array — the flight-recorder
-//! channels of [`series_push`](super::series::series_push) — and extended
-//! histogram metrics with `p50`/`p90`/`p99` quantile estimates from the
-//! sharded log-bucketed store. [`RunReport::from_json`] still accepts
-//! version-1 documents (they simply have no series and no quantiles).
+//! The `series` array holds the flight-recorder channels of
+//! [`series_push`](super::series::series_push), and histogram metrics carry
+//! `p50`/`p90`/`p99` quantile estimates from the sharded log-bucketed
+//! store. [`RunReport::from_json`] accepts version 2 only.
 
 use super::json::Json;
 use super::metrics::{self, MetricValue};
 use super::series::{self, SeriesSnapshot};
 use super::trace::{self, SpanRecord};
-use crate::timing::Timings;
 use std::path::{Path, PathBuf};
 
 /// `debug` or `release`: the profile the library was compiled in.
@@ -46,6 +44,20 @@ fn build_profile() -> &'static str {
     } else {
         "release"
     }
+}
+
+/// The `model name` line of `/proc/cpuinfo`, or `"unknown"` when the file
+/// or the line is absent.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// One bench measurement inside a report.
@@ -87,8 +99,6 @@ pub struct RunReport {
     pub figures: Vec<(String, f64)>,
     /// Bench samples.
     pub samples: Vec<BenchSample>,
-    /// Stage label → seconds.
-    pub timings: Vec<(String, f64)>,
     /// Metric registry snapshot (filled by [`RunReport::finish`]).
     pub metrics: Vec<(String, MetricValue)>,
     /// Aggregated spans (filled by [`RunReport::finish`]).
@@ -100,8 +110,8 @@ pub struct RunReport {
 impl RunReport {
     /// A fresh report stamped with the current time, thread count and trace
     /// level, plus the host fingerprint: the host's
-    /// `available_parallelism` and the build `profile` (`debug` or
-    /// `release`).
+    /// `available_parallelism`, the build `profile` (`debug` or `release`)
+    /// and the `cpu_model`.
     pub fn new(name: impl Into<String>) -> Self {
         let created_unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -123,6 +133,7 @@ impl RunReport {
                         .to_string(),
                 ),
                 ("profile".into(), build_profile().into()),
+                ("cpu_model".into(), cpu_model()),
             ],
             ..RunReport::default()
         }
@@ -159,17 +170,6 @@ impl RunReport {
     /// Adds a free-form environment note.
     pub fn note(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.env.push((key.into(), value.into()));
-    }
-
-    /// Merges the stages of `timings` (label → seconds, accumulating).
-    pub fn absorb_timings(&mut self, timings: &Timings) {
-        for (label, duration) in timings.stages() {
-            let secs = duration.as_secs_f64();
-            match self.timings.iter_mut().find(|(n, _)| n == label) {
-                Some((_, v)) => *v += secs,
-                None => self.timings.push((label.clone(), secs)),
-            }
-        }
     }
 
     /// Captures the current metric registry, the series channels and the
@@ -229,15 +229,6 @@ impl RunReport {
                             ("n".into(), Json::Num(s.n as f64)),
                         ])
                     })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "timings".into(),
-            Json::Obj(
-                self.timings
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
                     .collect(),
             ),
         ));
@@ -305,8 +296,7 @@ impl RunReport {
         if root.get("schema").and_then(Json::as_str) != Some("rlcx-report") {
             return Err("not an rlcx-report document".into());
         }
-        let version = root.get("version").and_then(Json::as_u64);
-        if !matches!(version, Some(1 | 2)) {
+        if root.get("version").and_then(Json::as_u64) != Some(2) {
             return Err("unsupported rlcx-report version".into());
         }
         let name = root
@@ -411,7 +401,6 @@ impl RunReport {
             env: str_pairs("env"),
             figures: num_pairs("figures"),
             samples,
-            timings: num_pairs("timings"),
             metrics,
             spans,
             series,
@@ -467,21 +456,15 @@ fn metric_from_json(v: &Json) -> Option<MetricValue> {
     match v.get("type")?.as_str()? {
         "counter" => Some(MetricValue::Counter(v.get("value")?.as_u64()?)),
         "gauge" => Some(MetricValue::Gauge(v.get("value")?.as_f64()?)),
-        "histogram" => {
-            let min = v.get("min")?.as_f64()?;
-            let max = v.get("max")?.as_f64()?;
-            Some(MetricValue::Histogram {
-                count: v.get("count")?.as_u64()?,
-                sum: v.get("sum")?.as_f64()?,
-                min,
-                max,
-                // Version-1 histograms carried no quantiles; fall back to
-                // the range so old baselines stay loadable.
-                p50: v.get("p50").and_then(Json::as_f64).unwrap_or(min),
-                p90: v.get("p90").and_then(Json::as_f64).unwrap_or(max),
-                p99: v.get("p99").and_then(Json::as_f64).unwrap_or(max),
-            })
-        }
+        "histogram" => Some(MetricValue::Histogram {
+            count: v.get("count")?.as_u64()?,
+            sum: v.get("sum")?.as_f64()?,
+            min: v.get("min")?.as_f64()?,
+            max: v.get("max")?.as_f64()?,
+            p50: v.get("p50")?.as_f64()?,
+            p90: v.get("p90")?.as_f64()?,
+            p99: v.get("p99")?.as_f64()?,
+        }),
         _ => None,
     }
 }
@@ -523,9 +506,6 @@ mod tests {
         r.figure("self_l.max_rel_err", 0.0021);
         r.figure("speedup", 9000.0);
         r.sample("lookup", 1.2e-6, 0.9e-6, 10);
-        let mut t = Timings::new();
-        t.record("self-table", Duration::from_millis(410));
-        r.absorb_timings(&t);
         r.metrics = vec![
             ("cache.hit".into(), MetricValue::Counter(1)),
             ("threads.used".into(), MetricValue::Gauge(4.0)),
@@ -577,6 +557,9 @@ mod tests {
         let cores = env("available_parallelism").expect("core count recorded");
         assert!(cores.parse::<usize>().unwrap() >= 1, "cores = {cores}");
         assert_eq!(env("profile").as_deref(), Some(build_profile()));
+        let cpu = env("cpu_model").expect("cpu model recorded");
+        assert!(!cpu.is_empty(), "cpu_model is a model name or \"unknown\"");
+        assert_eq!(cpu, cpu_model());
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed.env, report.env);
     }
@@ -594,30 +577,11 @@ mod tests {
     #[test]
     fn rejects_foreign_documents() {
         assert!(RunReport::from_json("{}").is_err());
-        assert!(
-            RunReport::from_json(r#"{"schema":"rlcx-report","version":3,"name":"x"}"#).is_err()
-        );
-        assert!(RunReport::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn accepts_version_1_documents() {
-        // A PR 2-era report: no series, histograms without quantiles.
-        let v1 = r#"{
-            "schema": "rlcx-report", "version": 1, "name": "old",
-            "metrics": {"lu.n": {"type": "histogram",
-                                 "count": 2, "sum": 10.0, "min": 4.0, "max": 6.0}}
-        }"#;
-        let r = RunReport::from_json(v1).unwrap();
-        assert_eq!(r.name, "old");
-        assert!(r.series.is_empty());
-        match &r.metrics[0].1 {
-            MetricValue::Histogram { p50, p99, .. } => {
-                assert_eq!(*p50, 4.0, "quantiles default to the range");
-                assert_eq!(*p99, 6.0);
-            }
-            other => panic!("expected histogram, got {other:?}"),
+        for version in [1, 3] {
+            let doc = format!(r#"{{"schema":"rlcx-report","version":{version},"name":"x"}}"#);
+            assert!(RunReport::from_json(&doc).is_err(), "version {version}");
         }
+        assert!(RunReport::from_json("not json").is_err());
     }
 
     #[test]

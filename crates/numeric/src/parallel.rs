@@ -30,7 +30,6 @@
 
 use crate::obs;
 use crate::pool::{self, SendPtr};
-use crate::timing::Timings;
 use std::cell::Cell;
 use std::thread;
 
@@ -150,65 +149,6 @@ where
         .collect()
 }
 
-/// [`par_map`] whose closure can record per-item [`Timings`]; the per-shard
-/// accumulators are merged in shard-index order so the combined stage list
-/// is deterministic for a fixed thread count (durations are CPU time summed
-/// across workers, not wall-clock — a parallel stage reports more seconds
-/// here than on the clock).
-pub fn par_map_timed<T, F>(n: usize, f: F) -> (Vec<T>, Timings)
-where
-    T: Send,
-    F: Fn(usize, &mut Timings) -> T + Sync,
-{
-    par_map_threads_timed(thread_count(), n, f)
-}
-
-/// [`par_map_timed`] with an explicit thread count. The output vector is
-/// bit-identical to the serial map for any thread count, exactly as
-/// [`par_map_threads`]; only the merged [`Timings`] reflect the sharding.
-pub fn par_map_threads_timed<T, F>(threads: usize, n: usize, f: F) -> (Vec<T>, Timings)
-where
-    T: Send,
-    F: Fn(usize, &mut Timings) -> T + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    obs::gauge_set("threads.used", threads as f64);
-    if threads <= 1 || n <= 1 {
-        let mut timings = Timings::new();
-        let out = (0..n).map(|i| f(i, &mut timings)).collect();
-        return (out, timings);
-    }
-    let chunk = n.div_ceil(threads);
-    let shards = n.div_ceil(chunk);
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let mut shard_timings: Vec<Timings> = Vec::with_capacity(shards);
-    shard_timings.resize_with(shards, Timings::new);
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    let timings_ptr = SendPtr::new(shard_timings.as_mut_ptr());
-    pool::run(shards, threads, |k| {
-        let base = k * chunk;
-        let end = (base + chunk).min(n);
-        // SAFETY: shard `k` exclusively owns timing slot `k` and output
-        // slots `[base, end)`.
-        let shard_t = unsafe { &mut *timings_ptr.get().add(k) };
-        for i in base..end {
-            unsafe { *out_ptr.get().add(i) = Some(f(i, shard_t)) };
-        }
-    });
-    // Deterministic merge: shard 0 first, then shard 1, … — the stage
-    // ordering of the result never depends on which worker finished first.
-    let mut timings = Timings::new();
-    for shard_t in &shard_timings {
-        timings.absorb(shard_t);
-    }
-    let out = out
-        .into_iter()
-        .map(|slot| slot.expect("every index is covered by exactly one shard"))
-        .collect();
-    (out, timings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,43 +233,5 @@ mod tests {
             let par = with_thread_count(threads, || par_map(97, |i| (i as u64) * 3 + 1));
             assert_eq!(par, serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn timed_map_matches_serial_and_merges_shard_timings() {
-        let f = |i: usize, t: &mut Timings| {
-            t.time("work", || ((i as f64) * 0.31).cos().to_bits());
-            t.record("tick", std::time::Duration::from_nanos(1));
-            ((i as f64) * 0.31).cos().to_bits()
-        };
-        let (serial, t1) = par_map_threads_timed(1, 123, f);
-        for threads in [2, 3, 7] {
-            let (par, tn) = par_map_threads_timed(threads, 123, f);
-            assert_eq!(par, serial, "threads={threads}");
-            // Every shard recorded both stages; the merge keeps them in
-            // first-shard order and accumulates all 123 ticks.
-            assert_eq!(
-                tn.stages()
-                    .iter()
-                    .map(|(n, _)| n.as_str())
-                    .collect::<Vec<_>>(),
-                vec!["work", "tick"],
-                "threads={threads}"
-            );
-            assert_eq!(
-                tn.get("tick"),
-                Some(std::time::Duration::from_nanos(123)),
-                "threads={threads}"
-            );
-        }
-        assert_eq!(t1.get("tick"), Some(std::time::Duration::from_nanos(123)));
-    }
-
-    #[test]
-    fn timed_map_handles_degenerate_sizes() {
-        let f = |i: usize, _: &mut Timings| i * 2;
-        assert_eq!(par_map_threads_timed(4, 0, f).0, Vec::<usize>::new());
-        assert_eq!(par_map_threads_timed(4, 1, f).0, vec![0]);
-        assert_eq!(par_map_timed(5, f).0, vec![0, 2, 4, 6, 8]);
     }
 }

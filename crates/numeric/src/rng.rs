@@ -11,8 +11,8 @@
 
 /// A source of uniformly distributed pseudo-random numbers.
 ///
-/// The provided methods derive floating-point draws from [`next_u64`]
-/// (`UniformRng::next_u64`), so any two implementations that produce the
+/// The provided methods derive floating-point draws from
+/// [`UniformRng::next_u64`], so any two implementations that produce the
 /// same bit stream produce the same samples.
 pub trait UniformRng {
     /// The next 64 uniformly distributed bits.

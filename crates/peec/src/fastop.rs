@@ -26,7 +26,7 @@
 //!   pairs whose gap also clears `4×` the largest cross-section dimension
 //!   (so every filament pair is in the far GMD branch) into an H²
 //!   structure with *nested* per-cluster bases and tiny skeleton coupling
-//!   matrices — see [`crate::h2`] — dropping far-field memory and matvec
+//!   matrices — see the `h2` module — dropping far-field memory and matvec
 //!   cost toward `O(n)`. Admissible pairs too close for the all-far
 //!   guarantee keep the flat ACA treatment. The operator then applies
 //!   `Z·x = R∘x + jω(Lp·x)` without ever forming `Lp`.

@@ -203,7 +203,7 @@ const GMD_LANES: usize = 8;
 /// inductance (H) of every pair in `pairs` into `out`.
 ///
 /// The hot path — the 8⁴-point near-branch GMD quadrature — is evaluated
-/// over contiguous SoA lanes of up to [`GMD_LANES`] pairs at once: the
+/// over contiguous SoA lanes of up to `GMD_LANES` pairs at once: the
 /// Gauss–Legendre nodes are mapped into each pair's rectangles once per
 /// block (instead of once per 4-D loop visit), the weight partial products
 /// are hoisted per loop level, and the innermost loop runs across *pairs*,

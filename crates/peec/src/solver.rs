@@ -18,7 +18,7 @@ use rlcx_geom::Bar;
 use rlcx_numeric::lu::CLuDecomposition;
 use rlcx_numeric::obs;
 use rlcx_numeric::parallel::{balanced_index, par_map_threads, thread_count};
-use rlcx_numeric::{CMatrix, Complex, Matrix, Timings};
+use rlcx_numeric::{CMatrix, Complex, Matrix};
 
 /// One conductor of a [`PartialSystem`]: a bar plus its resistivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,6 +179,10 @@ impl PartialSystem {
     /// plane strips whose current distribution the strip decomposition
     /// already resolves).
     ///
+    /// Uses [`SolverBackend::Auto`]: dense below
+    /// [`crate::fastop::ITERATIVE_CUTOVER`] filaments, the matrix-free
+    /// GMRES path above.
+    ///
     /// # Errors
     ///
     /// Same as [`PartialSystem::impedance_at`].
@@ -187,32 +191,11 @@ impl PartialSystem {
         f: f64,
         mesh_for: impl Fn(usize) -> MeshSpec,
     ) -> Result<CMatrix> {
-        let mut scratch = Timings::new();
-        self.impedance_at_with_timings(f, mesh_for, &mut scratch)
-    }
-
-    /// [`PartialSystem::impedance_at_with`] with per-stage timing: `mesh`,
-    /// `assemble` (filament Z fill), `factor` (LU inverse) and `reduce`
-    /// (conductor-level admittance collapse) are accumulated into `timings`.
-    ///
-    /// Uses [`SolverBackend::Auto`]: dense below
-    /// [`crate::fastop::ITERATIVE_CUTOVER`] filaments (bit-identical to the
-    /// historical dense-only behaviour), the matrix-free GMRES path above.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PartialSystem::impedance_at`].
-    pub fn impedance_at_with_timings(
-        &self,
-        f: f64,
-        mesh_for: impl Fn(usize) -> MeshSpec,
-        timings: &mut Timings,
-    ) -> Result<CMatrix> {
-        self.impedance_at_backend(f, mesh_for, SolverBackend::Auto, timings)
+        self.impedance_at_with_backend(f, mesh_for, SolverBackend::Auto)
     }
 
     /// [`PartialSystem::impedance_at_with`] with an explicit
-    /// [`SolverBackend`] (and no timing capture).
+    /// [`SolverBackend`].
     ///
     /// # Errors
     ///
@@ -229,54 +212,28 @@ impl PartialSystem {
         self.impedance_at_memo(f, mesh_for, backend, None)
     }
 
+    /// The one impedance solve behind every entry point:
     /// [`PartialSystem::impedance_at_with_backend`] with the dense filament
     /// fill taking its mutual GMDs from `memo` when one is given (see
     /// [`GmdMemo`]); the result is bit-identical either way. The iterative
     /// backend does not consult the memo — it has its own per-solve
     /// [`KernelCache`].
     ///
+    /// Each stage runs under its own span, named alike on both backends:
+    /// `peec.mesh`, `peec.assemble` (dense fill / fast-operator build),
+    /// `peec.factor` (dense LU inverse / block-preconditioner LUs) and
+    /// `peec.reduce` (admittance collapse; on the iterative path this
+    /// includes the GMRES solves), all nested under `peec.solve`.
+    ///
     /// # Errors
     ///
     /// Same as [`PartialSystem::impedance_at_with_backend`].
-    pub fn impedance_at_memo(
+    pub(crate) fn impedance_at_memo(
         &self,
         f: f64,
         mesh_for: impl Fn(usize) -> MeshSpec,
         backend: SolverBackend,
         memo: Option<&GmdMemo>,
-    ) -> Result<CMatrix> {
-        let mut scratch = Timings::new();
-        self.solve(f, mesh_for, backend, memo, &mut scratch)
-    }
-
-    /// [`PartialSystem::impedance_at_with_backend`] with per-stage timings.
-    /// The stage names are shared by both backends — `mesh`, `assemble`
-    /// (dense fill / fast-operator build), `factor` (dense LU inverse /
-    /// block-preconditioner LUs) and `reduce` (admittance collapse; on the
-    /// iterative path this includes the GMRES solves).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PartialSystem::impedance_at_with_backend`].
-    pub fn impedance_at_backend(
-        &self,
-        f: f64,
-        mesh_for: impl Fn(usize) -> MeshSpec,
-        backend: SolverBackend,
-        timings: &mut Timings,
-    ) -> Result<CMatrix> {
-        self.solve(f, mesh_for, backend, None, timings)
-    }
-
-    /// The one impedance solve behind every entry point: per-conductor
-    /// mesh, explicit backend, optional GMD memo, per-stage timings.
-    fn solve(
-        &self,
-        f: f64,
-        mesh_for: impl Fn(usize) -> MeshSpec,
-        backend: SolverBackend,
-        memo: Option<&GmdMemo>,
-        timings: &mut Timings,
     ) -> Result<CMatrix> {
         if !(f > 0.0 && f.is_finite()) {
             return Err(PeecError::InvalidParameter {
@@ -297,36 +254,28 @@ impl PartialSystem {
         }
         let _solve_span = obs::span("peec.solve");
         obs::counter_add("peec.solves", 1);
-        let (fils, owner, rhos) = timings.time("mesh", || {
-            obs::with_span("peec.mesh", || self.meshed_filaments(mesh_for))
-        });
+        let (fils, owner, rhos) = obs::with_span("peec.mesh", || self.meshed_filaments(mesh_for));
         obs::counter_add("peec.filaments", fils.len() as u64);
         let omega = 2.0 * std::f64::consts::PI * f;
         if backend.is_iterative(fils.len()) {
-            return self.impedance_iterative(&fils, &owner, &rhos, omega, timings);
+            return self.impedance_iterative(&fils, &owner, &rhos, omega);
         }
-        let zf = timings.time("assemble", || {
-            obs::with_span("peec.assemble", || {
-                filament_z_matrix(&fils, &rhos, omega, thread_count(), memo)
-            })
+        let zf = obs::with_span("peec.assemble", || {
+            filament_z_matrix(&fils, &rhos, omega, thread_count(), memo)
         });
         // Filaments of one conductor are in parallel between shared end
         // nodes: Y_cond = A Z_f⁻¹ Aᵀ with A the ownership incidence matrix.
-        let yf = timings.time("factor", || {
-            obs::with_span("peec.factor", || CLuDecomposition::new(&zf)?.inverse())
-        })?;
+        let yf = obs::with_span("peec.factor", || CLuDecomposition::new(&zf)?.inverse())?;
         let _reduce_span = obs::span("peec.reduce");
-        timings.time("reduce", || {
-            let n = self.len();
-            let nf = fils.len();
-            let mut ycond = CMatrix::zeros(n, n);
-            for i in 0..nf {
-                for j in 0..nf {
-                    ycond[(owner[i], owner[j])] += yf[(i, j)];
-                }
+        let n = self.len();
+        let nf = fils.len();
+        let mut ycond = CMatrix::zeros(n, n);
+        for i in 0..nf {
+            for j in 0..nf {
+                ycond[(owner[i], owner[j])] += yf[(i, j)];
             }
-            Ok(CLuDecomposition::new(&ycond)?.inverse()?)
-        })
+        }
+        Ok(CLuDecomposition::new(&ycond)?.inverse()?)
     }
 
     /// The matrix-free path: kernel-cached hierarchical operator,
@@ -337,27 +286,20 @@ impl PartialSystem {
         owner: &[usize],
         rhos: &[f64],
         omega: f64,
-        timings: &mut Timings,
     ) -> Result<CMatrix> {
         obs::counter_add("peec.solves.iterative", 1);
         // Every filament shares the conductors' common axial span, so the
         // kernel cache key never needs the axial coordinate.
         let kernel = KernelCache::new(self.conductors[0].bar.length());
-        let op = timings.time("assemble", || {
-            obs::with_span("peec.assemble", || {
-                FastZOperator::new(fils, rhos, omega, &kernel, &FastOpOptions::default())
-            })
+        let op = obs::with_span("peec.assemble", || {
+            FastZOperator::new(fils, rhos, omega, &kernel, &FastOpOptions::default())
         });
-        let pre = timings.time("factor", || {
-            obs::with_span("peec.factor", || {
-                BlockDiagPrecond::new(fils, rhos, owner, self.len(), omega, &kernel)
-            })
+        let pre = obs::with_span("peec.factor", || {
+            BlockDiagPrecond::new(fils, rhos, owner, self.len(), omega, &kernel)
         })?;
         let _reduce_span = obs::span("peec.reduce");
-        timings.time("reduce", || {
-            let ycond = fastop::conductor_admittance(&op, &pre, owner, self.len())?;
-            Ok(CLuDecomposition::new(&ycond)?.inverse()?)
-        })
+        let ycond = fastop::conductor_admittance(&op, &pre, owner, self.len())?;
+        Ok(CLuDecomposition::new(&ycond)?.inverse()?)
     }
 
     /// Meshes every conductor into filaments, returning the filament bars,
@@ -451,9 +393,9 @@ impl PartialSystem {
         self.rl_at_memo(f, mesh, backend, None)
     }
 
-    /// [`PartialSystem::rl_at_backend`] through
-    /// [`PartialSystem::impedance_at_memo`]: bit-identical, with the dense
-    /// fill's mutual GMDs shared through `memo` when one is given.
+    /// [`PartialSystem::rl_at_backend`] with the dense filament fill taking
+    /// its mutual GMDs from `memo` when one is given (see [`GmdMemo`]); the
+    /// result is bit-identical either way.
     ///
     /// # Errors
     ///
@@ -734,17 +676,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn impedance_timings_cover_every_stage() {
-        let sys = cpw_system(1000.0);
-        let mut timings = Timings::new();
-        sys.impedance_at_with_timings(3.2e9, |_| MeshSpec::new(2, 2), &mut timings)
-            .unwrap();
-        for stage in ["mesh", "assemble", "factor", "reduce"] {
-            assert!(timings.get(stage).is_some(), "missing stage {stage}");
         }
     }
 

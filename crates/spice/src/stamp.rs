@@ -5,19 +5,19 @@
 //! `kC`/`kL` in the time domain, `jωC`/`jωL` in the frequency domain).
 //! This module owns everything they share:
 //!
-//! * [`MnaLayout`] — the unknown layout: non-ground node voltages first,
+//! * `MnaLayout` — the unknown layout: non-ground node voltages first,
 //!   then one branch current per inductor / voltage source in element
 //!   order. This is the single place that computes `node_count() - 1`;
 //!   ground is pre-interned by `Netlist::new`, so the subtraction can
 //!   never underflow.
-//! * [`stamp_mna`] — one generic stamping pass, parameterized over the
+//! * `stamp_mna` — one generic stamping pass, parameterized over the
 //!   scalar type and the per-element admittance maps, emitting
 //!   `(row, col, value)` contributions into whatever backing store the
 //!   caller provides (dense matrix or sparse triplet builder).
 //! * [`SolverEngine`] — the dense/sparse backend choice, with an `Auto`
 //!   mode that switches to sparse once the system outgrows the dense
 //!   factorization's cache-friendly sweet spot.
-//! * [`RealFactor`] — the factored real system (`f64`) behind the
+//! * `RealFactor` — the factored real system (`f64`) behind the
 //!   transient engine and its DC operating point, wrapping either a
 //!   dense [`LuDecomposition`] or a [`SparseLu`].
 

@@ -10,7 +10,7 @@
 use rlcx::core::TableBuilder;
 use rlcx::geom::Stackup;
 use rlcx::obs::{self, RunReport, TraceLevel};
-use rlcx::peec::MeshSpec;
+use rlcx::peec::{MeshSpec, SolverBackend};
 use std::sync::{Mutex, MutexGuard};
 
 fn level_lock() -> MutexGuard<'static, ()> {
@@ -69,6 +69,73 @@ fn table_build_records_nested_spans() {
     assert!(self_pos < build_pos, "children complete before the parent");
 }
 
+/// Runs `f` under `Summary` and returns the paths of the spans it recorded.
+/// The caller holds [`level_lock`].
+fn recorded_span_paths(f: impl FnOnce()) -> Vec<String> {
+    obs::set_trace_level(TraceLevel::Summary);
+    obs::take_spans();
+    f();
+    obs::set_trace_level(TraceLevel::Off);
+    obs::take_spans().into_iter().map(|s| s.path).collect()
+}
+
+/// One impedance solve times each of its stages under `peec.solve`, with
+/// the same span names on both backends.
+#[test]
+fn impedance_solve_records_every_stage_span() {
+    use rlcx::geom::units::RHO_COPPER;
+    use rlcx::geom::{Axis, Bar, Point3};
+    use rlcx::peec::{Conductor, PartialSystem};
+
+    let _guard = level_lock();
+    let sys: PartialSystem = [(-12.0, 10.0), (0.0, 4.0), (6.0, 10.0)]
+        .into_iter()
+        .map(|(y, w)| {
+            let bar = Bar::new(Point3::new(0.0, y, 9.4), Axis::X, 1000.0, w, 2.0).unwrap();
+            Conductor::new(bar, RHO_COPPER).unwrap()
+        })
+        .collect();
+    for backend in [SolverBackend::Dense, SolverBackend::Iterative] {
+        let paths = recorded_span_paths(|| {
+            sys.impedance_at_with_backend(3.2e9, |_| MeshSpec::new(2, 2), backend)
+                .unwrap();
+        });
+        for stage in ["mesh", "assemble", "factor", "reduce"] {
+            let path = format!("peec.solve/peec.{stage}");
+            assert!(paths.contains(&path), "{backend:?}: missing span {path}");
+        }
+    }
+}
+
+/// The persistent-cache build times its probe, the characterization and
+/// the store on a miss, and only the probe on a hit.
+#[test]
+fn cached_build_records_probe_build_and_store_spans() {
+    let _guard = level_lock();
+    let dir = std::env::temp_dir().join(format!("rlcx_obs_cache_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let cold =
+        recorded_span_paths(|| assert!(!small_builder().build_cached(&dir).unwrap().cache_hit));
+    for path in ["cache.probe", "table.build", "cache.store"] {
+        assert!(
+            cold.iter().any(|p| p == path),
+            "cold build: missing span {path}"
+        );
+    }
+    let warm =
+        recorded_span_paths(|| assert!(small_builder().build_cached(&dir).unwrap().cache_hit));
+    assert!(
+        warm.iter().any(|p| p == "cache.probe"),
+        "warm build probes the cache"
+    );
+    assert!(
+        !warm.iter().any(|p| p == "table.build"),
+        "warm build must not characterize"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Metrics accumulate across worker threads: a characterization forced to
 /// `RLCX_THREADS=4` must count every grid point and every PEEC solve, and
 /// the solve counter grows by at least the point count.
@@ -121,20 +188,19 @@ fn table_build_publishes_gmd_memo_counters() {
     );
 }
 
-/// A report built from a real run (figures + timings + metrics + spans)
+/// A report built from a real run (figures + samples + metrics + spans)
 /// survives the JSON round-trip losslessly.
 #[test]
 fn run_report_round_trips_through_json() {
     let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Summary);
     obs::take_spans();
-    let (_, timings) = small_builder().build_timed().unwrap();
+    small_builder().build().unwrap();
     obs::set_trace_level(TraceLevel::Off);
 
     let mut report = RunReport::new("observability_test");
     report.figure("self_l.max_rel_err", 0.0123);
     report.sample("lookup", 1.5e-6, 1.1e-6, 10);
-    report.absorb_timings(&timings);
     report.finish();
     assert!(!report.metrics.is_empty(), "metric snapshot captured");
     assert!(

@@ -10,10 +10,13 @@
 //! scores the adaptive axis on delay fidelity and steps saved.
 //!
 //! Gated figures (`ci/thresholds/exp_adaptive_step.json`):
-//! * `delay.max_err_ps` — worst 50 % delay deviation of the adaptive run
-//!   from the 10× oversampled reference, in picoseconds,
-//! * `steps.saved_ratio` — worst-case accepted-step advantage over the
-//!   nominal fixed run across the two nets.
+//! * `figures.delay.max_err_ps` — worst 50 % delay deviation of the
+//!   adaptive run from the 10× oversampled reference, in picoseconds,
+//! * `figures.steps.saved_ratio` — worst-case accepted-step advantage over
+//!   the nominal fixed run across the two nets,
+//! * `metrics.lu.factor.n.p99` / `series.transient.accept.pushed` — the
+//!   factor size and accepted-step count stay near their committed
+//!   values.
 
 use rlcx::obs;
 use rlcx::spice::{

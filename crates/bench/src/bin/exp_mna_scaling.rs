@@ -9,12 +9,14 @@
 //! `SPARSE_CUTOVER` constant claims.
 //!
 //! Gated figures (`ci/thresholds/exp_mna_scaling.json`):
-//! * `agree.trans.max_rel_err` / `agree.ac.max_rel_err` — backend
-//!   agreement on transient trajectories and AC transfer curves,
-//! * `speedup.factor_step_total` — sparse advantage at the deepest tree
-//!   both engines run,
-//! * `sparse.fill_ratio` — LU fill stays near the tree bound,
-//! * `mna.nnz_per_unknown` — assembled pattern stays sparse.
+//! * `figures.agree.trans.max_rel_err` / `figures.agree.ac.max_rel_err` —
+//!   backend agreement on transient trajectories and AC transfer curves,
+//! * `figures.speedup.factor_step_total` — sparse advantage at the
+//!   deepest tree both engines run,
+//! * `figures.sparse.fill_ratio` — LU fill stays near the tree bound,
+//! * `figures.mna.nnz_per_unknown` — assembled pattern stays sparse,
+//! * `metrics.lu.factor.n.p99` / `series.sparse.lu.colfill.pushed` — the
+//!   factorization work counts stay near their committed values.
 
 use rlcx::obs::{self, MetricValue};
 use rlcx::spice::{

@@ -11,12 +11,17 @@
 //!
 //! Gated figures (`ci/thresholds/exp_mor_speedup.json`), on the deepest
 //! tree:
-//! * `speedup.factor` — transient time over reduce+query time (≥ 10x),
-//! * `delay.max_err_ps` — worst sink 50 %-delay disagreement (≤ 0.1 ps),
-//! * `moment.residual` — worst relative mismatch of the first
+//! * `figures.speedup.factor` — transient time over reduce+query time
+//!   (≥ 10x),
+//! * `figures.delay.max_err_ps` — worst sink 50 %-delay disagreement
+//!   (≤ 0.1 ps),
+//! * `figures.moment.residual` — worst relative mismatch of the first
 //!   [`MOMENTS`] transfer moments vs the full system,
-//! * `mor.order` / `mor.poles.unstable` — reduced size stays small and
-//!   the projection stays passive.
+//! * `figures.mor.order` / `figures.mor.poles.unstable` — reduced size
+//!   stays small and the projection stays passive,
+//! * `metrics.lu.factor.n.p99`, `series.transient.accept.pushed` and
+//!   `series.sparse.lu.colfill.pushed` — the reference transient's work
+//!   counts stay near their committed values.
 
 use rlcx::obs;
 use rlcx::spice::{

@@ -24,26 +24,36 @@
 //!   lanes vs the scalar quadrature on identical (distinct) geometries.
 //!
 //! Gated figures (`ci/thresholds/exp_peec_scaling.json`):
-//! * `agree.max_rel_err` — backend agreement on the conductor impedance
-//!   matrix across every mesh size,
-//! * `speedup.largest` — iterative advantage at the largest dense mesh,
-//! * `gmres.iters.max` — Krylov iteration count stays bounded (the
-//!   block-diagonal preconditioner is doing its job),
-//! * `aca.rank.max` — far-field blocks stay genuinely low-rank,
-//! * `fastop.kernel.hit_rate` — displacement memoization eliminates almost
-//!   all kernel quadrature on regular meshes,
-//! * `h2.agree.n4032` — H² operator apply matches the dense Z apply,
-//! * `h2.matvec.speedup.n4032` / `h2.mem.ratio.n4032` — the H² far field
-//!   beats flat ACA on matvec time and memory at ≥4k filaments,
-//! * `kernel.batch.speedup` — the SoA quadrature beats the scalar loop.
+//! * `figures.agree.max_rel_err` — backend agreement on the conductor
+//!   impedance matrix across every mesh size,
+//! * `figures.speedup.largest` — iterative advantage at the largest dense
+//!   mesh,
+//! * `figures.gmres.iters.max` — Krylov iteration count stays bounded
+//!   (the block-diagonal preconditioner is doing its job),
+//! * `figures.aca.rank.max` — far-field blocks stay genuinely low-rank,
+//! * `figures.fastop.kernel.hit_rate` — displacement memoization
+//!   eliminates almost all kernel quadrature on regular meshes,
+//! * `figures.h2.agree.n4032` — H² operator apply matches the dense Z
+//!   apply,
+//! * `figures.h2.matvec.speedup.n4032` / `figures.h2.mem.ratio.n4032` —
+//!   the H² far field beats flat ACA on matvec time (median of 31
+//!   interleaved applies each) and memory at ≥4k filaments,
+//! * `figures.kernel.batch.speedup` — the SoA quadrature beats the scalar
+//!   loop.
+//!
+//! The work counts `metrics.{gmres.iters.p99, gmres.iters.count,
+//! aca.rank.p99, h2.basis.rank.p99, lu.factor.n.p99}` and
+//! `series.{aca.rank, gmres.residual, h2.rank}.pushed` are gated near
+//! their committed values.
 //!
 //! The extension (PR 10) adds a **thread-scaling sweep** at the 10080
 //! point: the operator is built and applied at `RLCX_THREADS` ∈ {1, 2, 4,
 //! 8} via `with_thread_count`, every matvec result is asserted
 //! bit-identical to the single-threaded run, and CI gates
-//! `fastop.build.par_speedup` (build, 1→8 threads) plus
-//! `fastop.par_speedup.combined8` (build + 20 matvecs, the shape of one
-//! GMRES solve) and `pool.tasks` (the persistent pool actually ran).
+//! `figures.fastop.build.par_speedup` (build, 1→8 threads) plus
+//! `figures.fastop.par_speedup.combined8` (build + 20 matvecs, the shape
+//! of one GMRES solve) and `figures.pool.tasks` (the persistent pool
+//! actually ran).
 
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3};
@@ -152,8 +162,32 @@ fn time_matvec(op: &FastZOperator, x: &[Complex], reps: usize) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
+/// Median seconds per `apply` of `a` and of `b` over `reps` applies each,
+/// alternating `a` and `b` so drift in the host's clock speed or load
+/// hits both operators alike.
+fn time_matvec_pair(
+    a: &FastZOperator,
+    b: &FastZOperator,
+    x: &[Complex],
+    reps: usize,
+) -> (f64, f64) {
+    let mut y = vec![Complex::ZERO; x.len()];
+    let mut time = |op: &FastZOperator| {
+        let t0 = Instant::now();
+        op.apply(x, std::hint::black_box(&mut y));
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut ta, mut tb): (Vec<f64>, Vec<f64>) = (0..reps).map(|_| (time(a), time(b))).unzip();
+    let median = |t: &mut Vec<f64>| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    };
+    (median(&mut ta), median(&mut tb))
+}
+
 /// Builds the H² and flat-ACA operators on one meshed CPW, times builds
-/// and matvecs, reports memory, and (optionally, for sizes where the n²
+/// and interleaved matvecs (median of 31 applies each at 4032 filaments,
+/// 5 at 10080), reports memory, and (optionally, for sizes where the n²
 /// kernel table fits comfortably) checks the H² apply against the dense
 /// kernel-cache-assembled `Z` apply. Returns the H²/dense agreement (0.0
 /// when skipped).
@@ -174,9 +208,8 @@ fn operator_shootout(report: &mut RunReport, nw: usize, nt: usize, dense_check: 
     let build_flat = t0.elapsed().as_secs_f64();
 
     let x = excitation(n);
-    let reps = if n > 8000 { 5 } else { 10 };
-    let mv_h2 = time_matvec(&op_h2, &x, reps);
-    let mv_flat = time_matvec(&op_flat, &x, reps);
+    let reps = if n > 8000 { 5 } else { 31 };
+    let (mv_h2, mv_flat) = time_matvec_pair(&op_h2, &op_flat, &x, reps);
     let (mem_h2, mem_flat) = (
         op_h2.stats().far_mem_f64 as f64,
         op_flat.stats().far_mem_f64 as f64,

@@ -6,6 +6,11 @@
 //! wall-clock ratio between a lookup and a solve. The tables come through
 //! the persistent cache, so the run also reports the cold-build stage
 //! breakdown (or the warm-cache load time on repeat runs).
+//!
+//! Gated keys (`ci/thresholds/exp_table_accuracy.json`):
+//! `figures.self_l.{mean,max}_rel_err`, `figures.mutual_l.{mean,max}_rel_err`,
+//! `figures.self_l.extrapolation_rel_err`, `figures.lookup.speedup`, and
+//! `metrics.lu.factor.n.p99` (the size of the field solves' LU factors).
 
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3};

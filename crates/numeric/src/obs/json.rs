@@ -9,9 +9,9 @@
 //!
 //! Non-finite `f64` values have no JSON number syntax; the writer emits
 //! them as the strings `"NaN"`, `"Infinity"`, `"-Infinity"` (the Chrome
-//! trace viewer and `report_diff` both load these), and [`Json::as_f64`]
-//! maps those strings back, so numeric round-trips survive non-finite
-//! values instead of degrading to `null`.
+//! trace viewer and the `check_report` gate both load these), and
+//! [`Json::as_f64`] maps those strings back, so numeric round-trips
+//! survive non-finite values instead of degrading to `null`.
 
 /// Maximum nesting depth the parser accepts before erroring out.
 pub const MAX_DEPTH: usize = 512;

@@ -25,8 +25,8 @@
 //! * [`report`] — [`RunReport`]: spans, metrics, series, bench samples
 //!   and paper-accuracy figures serialized to a stable, hand-rolled JSON
 //!   file (`target/reports/<name>.json`) so experiment outputs diff across
-//!   PRs — and, via the `report_diff` bench binary, against committed
-//!   baselines in CI.
+//!   PRs, and CI's `check_report` bench binary gates them against
+//!   committed bounds.
 //! * [`chrome`] — `RLCX_TRACE_OUT=<path>` exports the raw spans as a
 //!   Chrome/Perfetto `traceEvents` JSON any run can open in
 //!   `chrome://tracing`.

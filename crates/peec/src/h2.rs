@@ -36,7 +36,7 @@
 //!
 //! Observability: every accepted basis pushes its rank to the `h2.rank`
 //! series channel (step = cluster level) and the `h2.basis.rank` histogram
-//! (its p99 is gated in CI via `report_diff`).
+//! (its p99 is gated in CI by `ci/thresholds/exp_peec_scaling.json`).
 
 use crate::fastop::ClusterTree;
 use crate::partial::mutual_filaments_aligned_m;

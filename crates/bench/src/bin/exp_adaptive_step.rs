@@ -14,8 +14,8 @@
 //!   adaptive run from the 10× oversampled reference, in picoseconds,
 //! * `figures.steps.saved_ratio` — worst-case accepted-step advantage over
 //!   the nominal fixed run across the two nets,
-//! * `metrics.lu.factor.n.p99` / `series.transient.accept.pushed` — the
-//!   factor size and accepted-step count stay near their committed
+//! * `metrics.spice.mna.dim` / `series.transient.accept.pushed` — the
+//!   factored MNA size and accepted-step count stay near their committed
 //!   values.
 
 use rlcx::obs;

@@ -1,12 +1,16 @@
-//! E10 (engine scaling) — dense vs sparse MNA as the clocktree grows.
+//! E10 (engine scaling) — dense vs sparse MNA, from one clock stage to
+//! a whole clocktree.
 //!
-//! The transient and AC engines share one MNA formulation but can factor
-//! it densely (O(n³)) or with the fill-reducing sparse LU. Clocktree
-//! matrices are nearly tree-structured, so sparse factor + solve should
-//! scale almost linearly while dense blows up cubically. This experiment
-//! sweeps H-tree depth, times both backends on identical netlists, checks
-//! they agree to solver precision, and records the crossover evidence the
-//! `SPARSE_CUTOVER` constant claims.
+//! The transient and AC engines share one MNA formulation and factor it
+//! with the fill-reducing sparse LU; dense LU (O(n³)) is kept as an
+//! oracle. Clocktree matrices are nearly tree-structured, so sparse
+//! factor + solve should scale almost linearly while dense blows up
+//! cubically. This experiment sweeps H-tree depth, times both backends on
+//! identical netlists and checks they agree to solver precision. It then
+//! times both on single buffer stages at the sizes the skew flow actually
+//! simulates (9–75 unknowns), as the median of interleaved runs: the
+//! evidence that sparse is the right engine even there, so no size-based
+//! dense cutover exists.
 //!
 //! Gated figures (`ci/thresholds/exp_mna_scaling.json`):
 //! * `figures.agree.trans.max_rel_err` / `figures.agree.ac.max_rel_err` —
@@ -17,7 +21,12 @@
 //! * `figures.mna.nnz_per_unknown` — assembled pattern stays sparse,
 //! * `metrics.lu.factor.n.p99` / `series.sparse.lu.colfill.pushed` — the
 //!   factorization work counts stay near their committed values.
+//!
+//! The stage sweep's `figures.trans.{dense,sparse}.s.dim{N}` are
+//! report-only: wall-clock times measure the host as much as the code.
 
+use rlcx::geom::HTree;
+use rlcx::numeric::stats::percentile;
 use rlcx::obs::{self, MetricValue};
 use rlcx::spice::{
     ac::{Ac, Sweep},
@@ -82,13 +91,80 @@ fn h_tree(depth: usize) -> (Netlist, String) {
     (nl, sink)
 }
 
+/// Builds one level-0 buffer stage of a 4 mm H-tree (trunk plus four
+/// arms) the way `TreeNetlistBuilder` does: a ramped 40 Ω driver, each
+/// edge split into `sections` π-sections (series R, plus L when `rlc`),
+/// and 20 fF buffer loads at the arm tips. Element values come from a
+/// fixed per-µm model of a 5 µm copper wire rather than extraction
+/// tables, so the run times (and counts) only the MNA layer. The stage has `3 + 6·sections` unknowns RC-only and
+/// `3 + 18·sections` with inductance.
+fn h_stage(sections: usize, rlc: bool) -> (Netlist, String) {
+    const R_PER_UM: f64 = 1.7e-3;
+    const L_PER_UM: f64 = 0.5e-12;
+    const C_PER_UM: f64 = 0.2e-15;
+    let tree = HTree::new(1, 4000.0)
+        .expect("valid span")
+        .iter()
+        .next()
+        .expect("one level")
+        .stage_tree();
+    let mut nl = Netlist::new();
+    let drv_in = nl.node("drv_in");
+    nl.vsource(
+        "Vdrv",
+        drv_in,
+        GROUND,
+        Waveform::ramp(0.0, 1.8, 0.0, 100e-12),
+    )
+    .expect("vsource");
+    let root = nl.node("t0");
+    nl.resistor("Rdrv", drv_in, root, 40.0).expect("driver R");
+    for (e, edge) in tree.edges().iter().enumerate() {
+        let len = tree.edge_length(e) / sections as f64;
+        let (r, l, c_half) = (R_PER_UM * len, L_PER_UM * len, 0.5 * C_PER_UM * len);
+        let mut from = nl.node(format!("t{}", edge.from));
+        for s in 0..sections {
+            let to = if s + 1 == sections {
+                nl.node(format!("t{}", edge.to))
+            } else {
+                nl.node(format!("e{e}s{s}"))
+            };
+            nl.capacitor(&format!("C{e}s{s}a"), from, GROUND, c_half)
+                .expect("C");
+            if rlc {
+                let mid = nl.node(format!("e{e}s{s}m"));
+                nl.resistor(&format!("R{e}s{s}"), from, mid, r).expect("R");
+                nl.inductor(&format!("L{e}s{s}"), mid, to, l).expect("L");
+            } else {
+                nl.resistor(&format!("R{e}s{s}"), from, to, r).expect("R");
+            }
+            nl.capacitor(&format!("C{e}s{s}b"), to, GROUND, c_half)
+                .expect("C");
+            from = to;
+        }
+    }
+    let leaves = tree.leaves();
+    for &leaf in &leaves {
+        let node = nl.node(format!("t{leaf}"));
+        nl.capacitor(&format!("Cload{leaf}"), node, GROUND, 20e-15)
+            .expect("load C");
+    }
+    (nl, format!("t{}", leaves[0]))
+}
+
 /// Runs the transient on one backend, returning (sink trajectory, seconds).
-fn run_transient(nl: &Netlist, sink: &str, engine: SolverEngine) -> (Vec<f64>, f64) {
+fn run_transient(
+    nl: &Netlist,
+    sink: &str,
+    engine: SolverEngine,
+    timestep: f64,
+    duration: f64,
+) -> (Vec<f64>, f64) {
     let t0 = Instant::now();
     let res = Transient::new(nl)
         .engine(engine)
-        .timestep(TIMESTEP)
-        .duration(DURATION)
+        .timestep(timestep)
+        .duration(duration)
         .run()
         .expect("transient");
     let secs = t0.elapsed().as_secs_f64();
@@ -121,8 +197,8 @@ fn main() {
     );
     for &depth in &dense_depths {
         let (nl, sink) = h_tree(depth);
-        let (vd, td) = run_transient(&nl, &sink, SolverEngine::Dense);
-        let (vs, ts) = run_transient(&nl, &sink, SolverEngine::Sparse);
+        let (vd, td) = run_transient(&nl, &sink, SolverEngine::Dense, TIMESTEP, DURATION);
+        let (vs, ts) = run_transient(&nl, &sink, SolverEngine::Sparse, TIMESTEP, DURATION);
         let dim = obs::metric_value("spice.mna.dim")
             .map(|m| m.as_f64())
             .unwrap_or(f64::NAN);
@@ -140,7 +216,7 @@ fn main() {
     }
     for &depth in &sparse_only_depths {
         let (nl, sink) = h_tree(depth);
-        let (_, ts) = run_transient(&nl, &sink, SolverEngine::Sparse);
+        let (_, ts) = run_transient(&nl, &sink, SolverEngine::Sparse, TIMESTEP, DURATION);
         let dim = obs::metric_value("spice.mna.dim")
             .map(|m| m.as_f64())
             .unwrap_or(f64::NAN);
@@ -165,6 +241,39 @@ fn main() {
         Some(MetricValue::Histogram { max, .. }) => max,
         _ => f64::NAN,
     };
+
+    // One buffer stage at the sizes the skew flow simulates, on its time
+    // axis (0.5 ps steps over 3 ns). Dense and sparse runs alternate so
+    // host drift hits both alike; each figure is a median.
+    const STAGE_REPS: usize = 11;
+    println!(
+        "\nclock stages (median of {STAGE_REPS} interleaved runs, 6000 steps)\n{:>6} {:>5} {:>12} {:>12} {:>9} {:>12}",
+        "dim", "kind", "dense (ms)", "sparse (ms)", "speedup", "max rel err"
+    );
+    for (sections, rlc) in [(1, false), (2, false), (1, true), (2, true), (4, true)] {
+        let (nl, sink) = h_stage(sections, rlc);
+        let dim = nl.node_count() - 1 + nl.inductor_count() + 1;
+        let (mut td, mut ts) = (Vec::new(), Vec::new());
+        let mut err = 0.0f64;
+        for _ in 0..STAGE_REPS {
+            let (vd, d) = run_transient(&nl, &sink, SolverEngine::Dense, 0.5e-12, 3e-9);
+            let (vs, s) = run_transient(&nl, &sink, SolverEngine::Sparse, 0.5e-12, 3e-9);
+            err = err.max(max_rel_err(&vd, &vs));
+            td.push(d);
+            ts.push(s);
+        }
+        let (td, ts) = (percentile(&td, 50.0), percentile(&ts, 50.0));
+        agree_trans = agree_trans.max(err);
+        println!(
+            "{dim:>6} {:>5} {:>12.3} {:>12.3} {:>8.2}x {err:>12.2e}",
+            if rlc { "RLC" } else { "RC" },
+            td * 1e3,
+            ts * 1e3,
+            td / ts
+        );
+        report.figure(format!("trans.dense.s.dim{dim}"), td);
+        report.figure(format!("trans.sparse.s.dim{dim}"), ts);
+    }
 
     // AC backend agreement at a mid-size depth; the sparse path refactors
     // numerically per frequency on a frozen symbolic pattern.

@@ -14,7 +14,9 @@ pub enum NumericError {
     /// Factorization failed because the matrix is singular (or not positive
     /// definite for Cholesky) to working precision.
     Singular {
-        /// Pivot index at which the factorization broke down.
+        /// Index at which the factorization broke down. The LU
+        /// factorizations report the column of the input matrix that had
+        /// no usable pivot (sparse LU maps its elimination order back).
         pivot: usize,
     },
     /// An input slice was empty or too short for the requested operation.

@@ -72,7 +72,8 @@ impl<T: Scalar> SparseLu<T> {
     /// # Errors
     ///
     /// * [`NumericError::DimensionMismatch`] if `a` is not square.
-    /// * [`NumericError::Singular`] if a column has no usable pivot.
+    /// * [`NumericError::Singular`] if a column has no usable pivot; its
+    ///   `pivot` is that column's original index.
     pub fn factor(a: &CscMatrix<T>) -> Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(NumericError::DimensionMismatch {
@@ -92,7 +93,9 @@ impl<T: Scalar> SparseLu<T> {
     /// * [`NumericError::DimensionMismatch`] if `a` is not square.
     /// * [`NumericError::InvalidArgument`] if `order` is not a
     ///   permutation of the column indices.
-    /// * [`NumericError::Singular`] if a column has no usable pivot.
+    /// * [`NumericError::Singular`] if a column has no usable pivot; its
+    ///   `pivot` is that column's original index, not its position in
+    ///   `order`.
     pub fn factor_with_order(a: &CscMatrix<T>, order: &[usize]) -> Result<Self> {
         let n = a.ncols();
         if a.nrows() != n {
@@ -218,7 +221,9 @@ impl<T: Scalar> SparseLu<T> {
                 }
             }
             if piv_mag == 0.0 || !piv_mag.is_finite() {
-                return Err(NumericError::Singular { pivot: k });
+                // Report the original column, not the elimination step,
+                // so callers can name the unknown that lost its pivot.
+                return Err(NumericError::Singular { pivot: j });
             }
             if visited[j] == k && lu.pinv[j] == UNSET {
                 let dm = x[j].modulus();
@@ -629,12 +634,19 @@ mod tests {
         let mut tb = TripletBuilder::new(3, 3);
         tb.add(0, 0, 1.0);
         tb.add(1, 1, 1.0);
-        // Column 2 is structurally empty.
+        // Column 2 is structurally empty. Whatever the elimination order,
+        // the error names the original column.
         let a = tb.build();
         assert!(matches!(
             SparseLu::factor(&a),
-            Err(NumericError::Singular { .. })
+            Err(NumericError::Singular { pivot: 2 })
         ));
+        for order in [[2, 0, 1], [0, 2, 1], [0, 1, 2]] {
+            assert!(matches!(
+                SparseLu::factor_with_order(&a, &order),
+                Err(NumericError::Singular { pivot: 2 })
+            ));
+        }
     }
 
     #[test]

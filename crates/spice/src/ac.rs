@@ -167,7 +167,7 @@ impl<'a> Ac<'a> {
         self
     }
 
-    /// Sets the linear-solver backend (default [`SolverEngine::Auto`]).
+    /// Sets the linear-solver backend (default [`SolverEngine::Sparse`]).
     #[must_use]
     pub fn engine(mut self, engine: SolverEngine) -> Self {
         self.engine = engine;
@@ -197,10 +197,9 @@ impl<'a> Ac<'a> {
 
         let frequencies = self.sweep.frequencies();
         let mut volts = vec![Vec::with_capacity(frequencies.len()); nl.node_count()];
-        if self.engine.is_sparse(layout.dim) {
-            self.solve_sparse(&layout, &frequencies, &rhs, &mut volts)?;
-        } else {
-            self.solve_dense(&layout, &frequencies, &rhs, &mut volts)?;
+        match self.engine {
+            SolverEngine::Sparse => self.solve_sparse(&layout, &frequencies, &rhs, &mut volts)?,
+            SolverEngine::Dense => self.solve_dense(&layout, &frequencies, &rhs, &mut volts)?,
         }
         let node_names = (0..nl.node_count())
             .map(|i| nl.node_name(NodeId(i)).to_string())
@@ -212,8 +211,8 @@ impl<'a> Ac<'a> {
         })
     }
 
-    /// Dense path: rebuild and factor a full complex matrix per point.
-    /// Fine for the small systems the cutover routes here.
+    /// Dense path: rebuild and factor a full complex matrix per point —
+    /// the oracle the sparse path is tested against.
     fn solve_dense(
         &self,
         layout: &MnaLayout,

@@ -14,48 +14,38 @@
 //!   scalar type and the per-element admittance maps, emitting
 //!   `(row, col, value)` contributions into whatever backing store the
 //!   caller provides (dense matrix or sparse triplet builder).
-//! * [`SolverEngine`] — the dense/sparse backend choice, with an `Auto`
-//!   mode that switches to sparse once the system outgrows the dense
-//!   factorization's cache-friendly sweet spot.
+//! * [`SolverEngine`] — the backend choice: the fill-reducing sparse LU
+//!   at every size by default, or dense LU when a caller asks for it as
+//!   an oracle. Clock stages are small (9–75 unknowns) and sparse wins
+//!   at all of them (`exp_mna_scaling`'s stage sweep), so there is no
+//!   size-based switch.
 //! * `RealFactor` — the factored real system (`f64`) behind the
 //!   transient engine and its DC operating point, wrapping either a
 //!   dense [`LuDecomposition`] or a [`SparseLu`].
 
+use crate::diagnose::diagnose_singular;
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::Result;
 use crate::SpiceError;
 use rlcx_numeric::lu::LuDecomposition;
 use rlcx_numeric::sparse::{Scalar, SparseLu, TripletBuilder};
-use rlcx_numeric::{condest, obs, CscMatrix, Matrix, NumericError};
+use rlcx_numeric::{condest, obs, CscMatrix, Matrix};
 
 /// Which linear-solver backend an analysis runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverEngine {
-    /// Pick by system size: sparse at or above [`SPARSE_CUTOVER`]
-    /// unknowns, dense below.
+    /// Fill-reducing sparse LU, at every system size.
     #[default]
-    Auto,
-    /// Dense LU regardless of size.
-    Dense,
-    /// Sparse LU regardless of size.
     Sparse,
+    /// Dense LU. Never chosen by default: it is kept as an independent
+    /// oracle that tests compare the sparse engine against.
+    Dense,
 }
 
-/// [`SolverEngine::Auto`] switches to the sparse engine at this many MNA
-/// unknowns. Below it, the dense factorization's tight loops win over the
-/// sparse solver's indirection; see `exp_mna_scaling` for the measured
-/// crossover.
-pub const SPARSE_CUTOVER: usize = 48;
-
-impl SolverEngine {
-    pub(crate) fn is_sparse(self, dim: usize) -> bool {
-        match self {
-            SolverEngine::Auto => dim >= SPARSE_CUTOVER,
-            SolverEngine::Dense => false,
-            SolverEngine::Sparse => true,
-        }
-    }
-}
+/// The default engine factors every system of at least one unknown
+/// sparsely, so the smallest sparsely factored MNA size is `1`. Measured
+/// at clock-stage sizes (9–75 unknowns), dense LU wins at none of them.
+pub const SPARSE_CUTOVER: usize = 1;
 
 /// Unknown layout of the MNA system: node voltages for every non-ground
 /// node (in interning order), then one branch-current unknown per
@@ -208,16 +198,6 @@ fn stamp_branch<T: Scalar>(
     }
 }
 
-/// Translates a factorization error through the structural diagnoser;
-/// `dense` means the failing pivot maps 1:1 onto an MNA unknown.
-fn diagnose(nl: &Netlist, layout: &MnaLayout, e: NumericError, dense: bool) -> SpiceError {
-    let pivot = match (dense, &e) {
-        (true, NumericError::Singular { pivot }) => Some(*pivot),
-        _ => None,
-    };
-    crate::diagnose::diagnose_singular(nl, layout, e, pivot)
-}
-
 /// A factored real MNA system behind either solver backend. The
 /// assembled matrix is retained alongside the factorization so residuals
 /// (iterative refinement) and the one-norm (condition estimation) stay
@@ -246,14 +226,14 @@ impl RealFactor {
     pub fn assemble(
         nl: &Netlist,
         layout: &MnaLayout,
-        sparse: bool,
+        engine: SolverEngine,
         gmin: f64,
         y_cap: impl Fn(f64) -> f64,
         z_ind: impl Fn(f64) -> f64,
         z_mut: impl Fn(f64) -> f64,
     ) -> Result<Self> {
         let dim = layout.dim;
-        if sparse {
+        if engine == SolverEngine::Sparse {
             let mut tb = TripletBuilder::new(dim, dim);
             if gmin > 0.0 {
                 for i in 0..layout.nv {
@@ -263,7 +243,7 @@ impl RealFactor {
             stamp_mna(nl, layout, y_cap, z_ind, z_mut, |i, j, v| tb.add(i, j, v));
             let a = tb.build();
             obs::gauge_set("spice.mna.nnz", a.nnz() as f64);
-            let lu = SparseLu::factor(&a).map_err(|e| diagnose(nl, layout, e, false))?;
+            let lu = SparseLu::factor(&a).map_err(|e| diagnose_singular(nl, layout, e))?;
             Ok(RealFactor::Sparse {
                 a,
                 lu: Box::new(lu),
@@ -276,7 +256,7 @@ impl RealFactor {
                 }
             }
             stamp_mna(nl, layout, y_cap, z_ind, z_mut, |i, j, v| a[(i, j)] += v);
-            let lu = LuDecomposition::new(&a).map_err(|e| diagnose(nl, layout, e, true))?;
+            let lu = LuDecomposition::new(&a).map_err(|e| diagnose_singular(nl, layout, e))?;
             Ok(RealFactor::Dense { a, lu })
         }
     }
@@ -438,9 +418,15 @@ impl VarFactor {
     ///
     /// Returns [`SpiceError::SingularMna`] / [`SpiceError::Numeric`] on
     /// a singular system (see [`RealFactor::assemble`]).
-    pub fn new(nl: &Netlist, layout: &MnaLayout, sparse: bool, kc: f64, kl: f64) -> Result<Self> {
+    pub fn new(
+        nl: &Netlist,
+        layout: &MnaLayout,
+        engine: SolverEngine,
+        kc: f64,
+        kl: f64,
+    ) -> Result<Self> {
         let dim = layout.dim;
-        if sparse {
+        if engine == SolverEngine::Sparse {
             let mut tb = TripletBuilder::new(dim, dim);
             stamp_mna(
                 nl,
@@ -452,7 +438,7 @@ impl VarFactor {
             );
             let (a, slot_map) = tb.build_with_map();
             obs::gauge_set("spice.mna.nnz", a.nnz() as f64);
-            let lu = SparseLu::factor(&a).map_err(|e| diagnose(nl, layout, e, false))?;
+            let lu = SparseLu::factor(&a).map_err(|e| diagnose_singular(nl, layout, e))?;
             Ok(VarFactor {
                 factor: RealFactor::Sparse {
                     a,
@@ -462,8 +448,15 @@ impl VarFactor {
                 key: (kc, kl),
             })
         } else {
-            let factor =
-                RealFactor::assemble(nl, layout, false, 0.0, |c| kc * c, |l| kl * l, |m| kl * m)?;
+            let factor = RealFactor::assemble(
+                nl,
+                layout,
+                SolverEngine::Dense,
+                0.0,
+                |c| kc * c,
+                |l| kl * l,
+                |m| kl * m,
+            )?;
             Ok(VarFactor {
                 factor,
                 slot_map: Vec::new(),
@@ -500,7 +493,8 @@ impl VarFactor {
                     |m| kl * m,
                     |i, j, v| a[(i, j)] += v,
                 );
-                lu.refactor(a).map_err(|e| diagnose(nl, layout, e, true))?;
+                lu.refactor(a)
+                    .map_err(|e| diagnose_singular(nl, layout, e))?;
             }
             RealFactor::Sparse { a, lu } => {
                 a.zero_values();
@@ -519,7 +513,8 @@ impl VarFactor {
                         },
                     );
                 }
-                lu.refactor(a).map_err(|e| diagnose(nl, layout, e, false))?;
+                lu.refactor(a)
+                    .map_err(|e| diagnose_singular(nl, layout, e))?;
             }
         }
         self.key = (kc, kl);
@@ -613,10 +608,62 @@ mod tests {
     }
 
     #[test]
-    fn engine_selection_cutover() {
-        assert!(!SolverEngine::Auto.is_sparse(SPARSE_CUTOVER - 1));
-        assert!(SolverEngine::Auto.is_sparse(SPARSE_CUTOVER));
-        assert!(!SolverEngine::Dense.is_sparse(10_000));
-        assert!(SolverEngine::Sparse.is_sparse(2));
+    fn default_engine_is_sparse() {
+        assert_eq!(SolverEngine::default(), SolverEngine::Sparse);
+        assert_eq!(SPARSE_CUTOVER, 1);
+        // Even a one-unknown system lands on the sparse backend.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.resistor("R", a, GROUND, 1.0).unwrap();
+        let layout = MnaLayout::new(&nl).unwrap();
+        assert_eq!(layout.dim, 1);
+        let f = RealFactor::assemble(
+            &nl,
+            &layout,
+            SolverEngine::default(),
+            0.0,
+            |c| c,
+            |l| l,
+            |m| m,
+        )
+        .unwrap();
+        assert!(matches!(f, RealFactor::Sparse { .. }));
+    }
+
+    #[test]
+    fn sparse_singular_pivot_names_its_unknown() {
+        // No floating node and no ideal loop: the capacitor admittance
+        // is chosen to cancel the resistor's on node b's diagonal, which
+        // leaves b's row a multiple of the source row. Only the failing
+        // pivot can name the culprit, so the sparse engine must report it
+        // as an original MNA unknown.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let b = nl.node("b");
+        nl.vsource("V", a, GROUND, Waveform::Dc(1.0)).unwrap();
+        nl.resistor("R", a, b, 1.0).unwrap();
+        nl.capacitor("C", b, GROUND, 1e-12).unwrap();
+        let layout = MnaLayout::new(&nl).unwrap();
+        let err = RealFactor::assemble(
+            &nl,
+            &layout,
+            SolverEngine::default(),
+            0.0,
+            |c| -c / 1e-12,
+            |l| l,
+            |m| m,
+        )
+        .err()
+        .expect("cancelled diagonal must not factor");
+        match err {
+            SpiceError::SingularMna { unknown, reason } => {
+                assert!(
+                    unknown == "node 'b'" || unknown == "branch current of 'V'",
+                    "{unknown}"
+                );
+                assert!(reason.contains("no usable pivot"), "{reason}");
+            }
+            other => panic!("expected SingularMna, got {other:?}"),
+        }
     }
 }

@@ -22,14 +22,18 @@
 //!   size changes reuse the sparse symbolic factorization through a
 //!   numeric-only refactorization.
 //!
-//! The factorization backend is selected by [`SolverEngine`]: dense LU for
-//! small systems, the fill-reducing sparse LU of `rlcx_numeric::sparse`
-//! for large ones (clocktree MNA matrices have O(n) nonzeros). Either way
-//! the per-step loop runs without heap allocation — right-hand side,
+//! Every system is factored by the fill-reducing sparse LU of
+//! `rlcx_numeric::sparse` (clocktree MNA matrices have O(n) nonzeros);
+//! [`SolverEngine::Dense`] swaps in dense LU as a test oracle. The
+//! per-element companion-model work of a step is flattened once per run
+//! into a `StepPlan` — index arrays with ground mapped to a sentinel
+//! slot — so the step loops neither match on elements nor branch on
+//! ground. Either loop runs without heap allocation: right-hand side,
 //! solution, and scratch buffers are preallocated and reused.
 
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::stamp::{MnaLayout, RealFactor, SolverEngine, VarFactor};
+use crate::waveform::Waveform;
 use crate::{Result, SpiceError};
 use rlcx_numeric::obs;
 
@@ -120,91 +124,128 @@ impl AdaptiveOptions {
     }
 }
 
-/// Node voltage of `n` in the MNA solution vector (`0.0` for ground).
-fn volt_of(x: &[f64], n: NodeId) -> f64 {
-    MnaLayout::var(n).map(|i| x[i]).unwrap_or(0.0)
+/// The companion-model work of one integration step, flattened once per
+/// run from the netlist: index arrays in netlist order, with ground
+/// mapped to the sentinel slot `dim` of the state vectors.
+///
+/// State and right-hand-side vectors carry that one extra slot. The state
+/// slot stays `0.0` (no solve ever writes it), so a terminal on ground
+/// reads 0 V without a branch; the right-hand-side slot absorbs the
+/// stamps to ground and is never solved for. Keep each expression's
+/// association and the order in which node rows accumulate: trajectories
+/// are pinned bit-exact by hash in `tests/integration_simulation.rs`.
+struct StepPlan<'a> {
+    /// Capacitors `(p, n, farads)`; the i-th one's companion current is
+    /// `cap_current[i]`.
+    caps: Vec<(usize, usize, f64)>,
+    /// Inductors `(p, n, branch row, henries)`.
+    inductors: Vec<(usize, usize, usize, f64)>,
+    /// Voltage sources `(branch row, waveform)`.
+    sources: Vec<(usize, &'a Waveform)>,
+    /// Mutual couplings `(branch row a, branch row b, henries)`.
+    mutuals: Vec<(usize, usize, f64)>,
 }
 
-/// Assembles the companion-model right-hand side for one step ending at
-/// source time `t_src`, from committed state `x` / `cap_current`.
-/// `kc`/`kl` are the capacitor/inductor companion coefficients of the
-/// step being taken; `trap` selects trapezoidal history terms.
-#[allow(clippy::too_many_arguments)]
-fn assemble_rhs(
-    nl: &Netlist,
-    layout: &MnaLayout,
-    x: &[f64],
-    cap_current: &[f64],
-    t_src: f64,
-    kc: f64,
-    kl: f64,
-    trap: bool,
-    rhs: &mut [f64],
-) {
-    rhs.fill(0.0);
-    for (ei, e) in nl.elements.iter().enumerate() {
-        match e {
-            Element::Resistor { .. } => {}
-            Element::Capacitor { p, n, farads, .. } => {
-                let v_prev = volt_of(x, *p) - volt_of(x, *n);
-                let i_prev = cap_current[ei];
-                let ieq = if trap {
-                    kc * farads * v_prev + i_prev
-                } else {
-                    kc * farads * v_prev
-                };
-                if let Some(ip) = MnaLayout::var(*p) {
-                    rhs[ip] += ieq;
+impl<'a> StepPlan<'a> {
+    fn new(nl: &'a Netlist, layout: &MnaLayout) -> Self {
+        let slot = |n: NodeId| MnaLayout::var(n).unwrap_or(layout.dim);
+        let mut plan = StepPlan {
+            caps: Vec::new(),
+            inductors: Vec::new(),
+            sources: Vec::new(),
+            mutuals: Vec::new(),
+        };
+        for (ei, e) in nl.elements.iter().enumerate() {
+            match e {
+                Element::Resistor { .. } => {}
+                Element::Capacitor { p, n, farads, .. } => {
+                    plan.caps.push((slot(*p), slot(*n), *farads));
                 }
-                if let Some(in_) = MnaLayout::var(*n) {
-                    rhs[in_] -= ieq;
+                Element::Inductor { p, n, henries, .. } => {
+                    plan.inductors
+                        .push((slot(*p), slot(*n), layout.branch(ei), *henries));
                 }
-            }
-            Element::Inductor { p, n, henries, .. } => {
-                let row = layout.branch(ei);
-                let i_prev = x[row];
-                let mut r = -kl * henries * i_prev;
-                if trap {
-                    r -= volt_of(x, *p) - volt_of(x, *n);
-                }
-                rhs[row] = r;
-            }
-            Element::VSource { wave, .. } => {
-                rhs[layout.branch(ei)] = wave.eval(t_src);
+                Element::VSource { wave, .. } => plan.sources.push((layout.branch(ei), wave)),
             }
         }
+        plan.mutuals = nl
+            .mutuals
+            .iter()
+            .map(|m| {
+                let ra = layout.branch(nl.inductors[m.a.0]);
+                let rb = layout.branch(nl.inductors[m.b.0]);
+                (ra, rb, m.m)
+            })
+            .collect();
+        plan
     }
-    // Mutual history terms (inductor rows only).
-    for m in &nl.mutuals {
-        let ra = layout.branch(nl.inductors[m.a.0]);
-        let rb = layout.branch(nl.inductors[m.b.0]);
-        rhs[ra] -= kl * m.m * x[rb];
-        rhs[rb] -= kl * m.m * x[ra];
-    }
-}
 
-/// Updates capacitor companion currents after a solve: `x_new` is the
-/// fresh solution, `x_prev` the state the step departed from, and
-/// `cap_current` holds the previous companion currents on entry.
-fn update_cap_currents(
-    nl: &Netlist,
-    x_new: &[f64],
-    x_prev: &[f64],
-    kc: f64,
-    trap: bool,
-    cap_current: &mut [f64],
-) {
-    for (ei, e) in nl.elements.iter().enumerate() {
-        if let Element::Capacitor { p, n, farads, .. } = e {
-            let v_new = volt_of(x_new, *p) - volt_of(x_new, *n);
-            let v_prev = volt_of(x_prev, *p) - volt_of(x_prev, *n);
-            let i_prev = cap_current[ei];
-            let i_new = if trap {
+    /// Assembles the companion-model right-hand side for one step ending
+    /// at source time `t_src`, from committed state `x` / `cap_current`.
+    /// `kc`/`kl` are the capacitor/inductor companion coefficients of the
+    /// step being taken; `trap` selects trapezoidal history terms.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble_rhs(
+        &self,
+        x: &[f64],
+        cap_current: &[f64],
+        t_src: f64,
+        kc: f64,
+        kl: f64,
+        trap: bool,
+        rhs: &mut [f64],
+    ) {
+        rhs.fill(0.0);
+        // Capacitors accumulate into node rows; inductors and sources
+        // assign their own branch rows, so the three loops commute.
+        for (&(p, n, farads), &i_prev) in self.caps.iter().zip(cap_current) {
+            let v_prev = x[p] - x[n];
+            let ieq = if trap {
+                kc * farads * v_prev + i_prev
+            } else {
+                kc * farads * v_prev
+            };
+            rhs[p] += ieq;
+            rhs[n] -= ieq;
+        }
+        for &(p, n, row, henries) in &self.inductors {
+            let i_prev = x[row];
+            let mut r = -kl * henries * i_prev;
+            if trap {
+                r -= x[p] - x[n];
+            }
+            rhs[row] = r;
+        }
+        for &(row, wave) in &self.sources {
+            rhs[row] = wave.eval(t_src);
+        }
+        // Mutual history terms (inductor rows only).
+        for &(ra, rb, m) in &self.mutuals {
+            rhs[ra] -= kl * m * x[rb];
+            rhs[rb] -= kl * m * x[ra];
+        }
+    }
+
+    /// Updates capacitor companion currents after a solve: `x_new` is the
+    /// fresh solution, `x_prev` the state the step departed from, and
+    /// `cap_current` holds the previous companion currents on entry.
+    fn update_cap_currents(
+        &self,
+        x_new: &[f64],
+        x_prev: &[f64],
+        kc: f64,
+        trap: bool,
+        cap_current: &mut [f64],
+    ) {
+        for (&(p, n, farads), i) in self.caps.iter().zip(cap_current) {
+            let v_new = x_new[p] - x_new[n];
+            let v_prev = x_prev[p] - x_prev[n];
+            let i_prev = *i;
+            *i = if trap {
                 kc * farads * (v_new - v_prev) - i_prev
             } else {
                 kc * farads * (v_new - v_prev)
             };
-            cap_current[ei] = i_new;
         }
     }
 }
@@ -226,8 +267,7 @@ pub struct Transient<'a> {
 
 impl<'a> Transient<'a> {
     /// Creates an analysis with defaults: 1 ps step, 5 ns duration,
-    /// trapezoidal integration, automatic solver-engine selection, fixed
-    /// stepping.
+    /// trapezoidal integration, the sparse solver engine, fixed stepping.
     pub fn new(netlist: &'a Netlist) -> Self {
         Transient {
             netlist,
@@ -261,7 +301,7 @@ impl<'a> Transient<'a> {
         self
     }
 
-    /// Sets the linear-solver backend (default [`SolverEngine::Auto`]).
+    /// Sets the linear-solver backend (default [`SolverEngine::Sparse`]).
     #[must_use]
     pub fn engine(mut self, engine: SolverEngine) -> Self {
         self.engine = engine;
@@ -315,7 +355,7 @@ impl<'a> Transient<'a> {
         let layout = MnaLayout::new(nl)?;
         let (nv, dim) = (layout.nv, layout.dim);
         obs::gauge_set("spice.mna.dim", dim as f64);
-        let sparse = self.engine.is_sparse(dim);
+        let plan = StepPlan::new(nl, &layout);
 
         // Integration coefficient: trap uses 2L/h and 2C/h, BE uses L/h, C/h.
         let (kc, kl) = match self.method {
@@ -327,7 +367,15 @@ impl<'a> Transient<'a> {
         // Assemble and factor the constant system matrix once.
         let lu = {
             let _s = obs::span("spice.mna.factor");
-            RealFactor::assemble(nl, &layout, sparse, 0.0, |c| kc * c, |l| kl * l, |m| kl * m)?
+            RealFactor::assemble(
+                nl,
+                &layout,
+                self.engine,
+                0.0,
+                |c| kc * c,
+                |l| kl * l,
+                |m| kl * m,
+            )?
         };
         if let Ok(cond) = lu.cond_est() {
             obs::gauge_set("lu.cond_est", cond);
@@ -335,10 +383,11 @@ impl<'a> Transient<'a> {
 
         // DC operating point at t = 0: resistors as-is, inductors as shorts,
         // capacitors open, sources at their initial value.
-        let x0 = self.dc_operating_point(&layout, sparse)?;
+        let x0 = self.dc_operating_point(&layout, &plan)?;
 
-        // State: node voltages + branch currents in `x`; capacitor currents
-        // tracked separately for the trapezoidal companion.
+        // State: node voltages + branch currents (+ the ground slot) in
+        // `x`; capacitor currents tracked separately for the trapezoidal
+        // companion.
         let steps = (self.duration / h).round() as usize;
         // The MNA system is linear, so each step is one back-substitution —
         // there is no Newton loop to count, only steps.
@@ -347,10 +396,10 @@ impl<'a> Transient<'a> {
         // Every buffer the step loop touches is preallocated here — the
         // loop itself is heap-allocation-free (asserted by
         // `tests/obs_overhead.rs`).
-        let mut x_new = vec![0.0; dim];
+        let mut x_new = vec![0.0; dim + 1];
         let mut scratch = vec![0.0; dim];
-        let mut rhs = vec![0.0; dim];
-        let mut cap_current = vec![0.0; nl.elements.len()];
+        let mut rhs = vec![0.0; dim + 1];
+        let mut cap_current = vec![0.0; plan.caps.len()];
         let mut time = Vec::with_capacity(steps + 1);
         // Not `vec![Vec::with_capacity(..); n]`: cloning a Vec drops its
         // capacity, which would turn every recorded column into a growing
@@ -375,9 +424,9 @@ impl<'a> Transient<'a> {
 
         for step in 1..=steps {
             let t = step as f64 * h;
-            assemble_rhs(nl, &layout, &x, &cap_current, t, kc, kl, trap, &mut rhs);
-            lu.solve_into(&rhs, &mut scratch, &mut x_new)?;
-            update_cap_currents(nl, &x_new, &x, kc, trap, &mut cap_current);
+            plan.assemble_rhs(&x, &cap_current, t, kc, kl, trap, &mut rhs);
+            lu.solve_into(&rhs[..dim], &mut scratch, &mut x_new[..dim])?;
+            plan.update_cap_currents(&x_new, &x, kc, trap, &mut cap_current);
             std::mem::swap(&mut x, &mut x_new);
             time.push(t);
             record(&x, &mut volts, &mut branch_currents);
@@ -394,7 +443,7 @@ impl<'a> Transient<'a> {
         let layout = MnaLayout::new(nl)?;
         let (nv, dim) = (layout.nv, layout.dim);
         obs::gauge_set("spice.mna.dim", dim as f64);
-        let sparse = self.engine.is_sparse(dim);
+        let plan = StepPlan::new(nl, &layout);
         let trap_method = self.method == IntegrationMethod::Trapezoidal;
         let duration = self.duration;
         let h_init = self.timestep.min(duration);
@@ -414,10 +463,8 @@ impl<'a> Transient<'a> {
         // onto each so discontinuities land on sample points exactly.
         let t_eps = duration * 1e-12;
         let mut bps: Vec<f64> = Vec::new();
-        for e in &nl.elements {
-            if let Element::VSource { wave, .. } = e {
-                wave.breakpoints(duration, &mut bps);
-            }
+        for (_, wave) in &plan.sources {
+            wave.breakpoints(duration, &mut bps);
         }
         bps.sort_by(f64::total_cmp);
         bps.dedup_by(|a, b| (*a - *b).abs() <= t_eps);
@@ -434,29 +481,30 @@ impl<'a> Transient<'a> {
             let k = coeff(h_init, trap_method);
             let k2 = coeff(0.5 * h_init, trap_method);
             (
-                VarFactor::new(nl, &layout, sparse, k, k)?,
-                VarFactor::new(nl, &layout, sparse, k2, k2)?,
+                VarFactor::new(nl, &layout, self.engine, k, k)?,
+                VarFactor::new(nl, &layout, self.engine, k2, k2)?,
             )
         };
         if let Ok(cond) = full.factor().cond_est() {
             obs::gauge_set("lu.cond_est", cond);
         }
 
-        let x0 = self.dc_operating_point(&layout, sparse)?;
+        let x0 = self.dc_operating_point(&layout, &plan)?;
 
         // Preallocate everything the attempt loop touches; the accepted-
         // step hot loop must stay heap-free (tests/obs_overhead.rs). The
         // recording vectors get a generous upfront capacity — adaptive
         // runs take far fewer samples than `duration/h_init`, so growth
         // inside the loop is the exception, not the rule.
+        // State vectors carry the ground slot (see `StepPlan`).
         let mut x = x0;
-        let mut x_full = vec![0.0; dim];
-        let mut x_mid = vec![0.0; dim];
-        let mut x_half = vec![0.0; dim];
+        let mut x_full = vec![0.0; dim + 1];
+        let mut x_mid = vec![0.0; dim + 1];
+        let mut x_half = vec![0.0; dim + 1];
         let mut scratch = vec![0.0; dim];
-        let mut rhs = vec![0.0; dim];
-        let mut cap_current = vec![0.0; nl.elements.len()];
-        let mut cc_half = vec![0.0; nl.elements.len()];
+        let mut rhs = vec![0.0; dim + 1];
+        let mut cap_current = vec![0.0; plan.caps.len()];
+        let mut cc_half = vec![0.0; plan.caps.len()];
         let cap_guess = (2.0 * duration / h_init).ceil() as usize + 4 * bps.len() + 64;
         let mut time = Vec::with_capacity(cap_guess);
         let mut volts: Vec<Vec<f64>> = (0..nl.node_count())
@@ -528,29 +576,19 @@ impl<'a> Transient<'a> {
                 // Full step at h_try.
                 let k = coeff(h_try, trap);
                 full.ensure(nl, &layout, k, k)?;
-                assemble_rhs(nl, &layout, &x, &cap_current, t_src, k, k, trap, &mut rhs);
-                full.solve_into(&rhs, &mut scratch, &mut x_full)?;
+                plan.assemble_rhs(&x, &cap_current, t_src, k, k, trap, &mut rhs);
+                full.solve_into(&rhs[..dim], &mut scratch, &mut x_full[..dim])?;
 
                 // The same step as two half steps.
                 let h2 = 0.5 * h_try;
                 let k2 = coeff(h2, trap);
                 half.ensure(nl, &layout, k2, k2)?;
-                assemble_rhs(
-                    nl,
-                    &layout,
-                    &x,
-                    &cap_current,
-                    t + h2,
-                    k2,
-                    k2,
-                    trap,
-                    &mut rhs,
-                );
-                half.solve_into(&rhs, &mut scratch, &mut x_mid)?;
+                plan.assemble_rhs(&x, &cap_current, t + h2, k2, k2, trap, &mut rhs);
+                half.solve_into(&rhs[..dim], &mut scratch, &mut x_mid[..dim])?;
                 cc_half.copy_from_slice(&cap_current);
-                update_cap_currents(nl, &x_mid, &x, k2, trap, &mut cc_half);
-                assemble_rhs(nl, &layout, &x_mid, &cc_half, t_src, k2, k2, trap, &mut rhs);
-                half.solve_into(&rhs, &mut scratch, &mut x_half)?;
+                plan.update_cap_currents(&x_mid, &x, k2, trap, &mut cc_half);
+                plan.assemble_rhs(&x_mid, &cc_half, t_src, k2, k2, trap, &mut rhs);
+                half.solve_into(&rhs[..dim], &mut scratch, &mut x_half[..dim])?;
 
                 // Step-doubling LTE: for a method of order p the half-step
                 // solution's error is ≈ (x_half − x_full)/(2^p − 1).
@@ -563,7 +601,7 @@ impl<'a> Transient<'a> {
 
                 if err <= 1.0 || h_try <= h_min * (1.0 + 1e-9) {
                     // Accept the (more accurate) half-step solution.
-                    update_cap_currents(nl, &x_half, &x_mid, k2, trap, &mut cc_half);
+                    plan.update_cap_currents(&x_half, &x_mid, k2, trap, &mut cc_half);
                     break (h_try, snap, err, t_new);
                 }
                 rejected += 1;
@@ -657,18 +695,20 @@ impl<'a> Transient<'a> {
     /// 1 nΩ "short") so configurations like a source in parallel with an
     /// inductor — two ideal shorts — stay non-singular. Mutual couplings
     /// carry no DC term.
-    fn dc_operating_point(&self, layout: &MnaLayout, sparse: bool) -> Result<Vec<f64>> {
+    ///
+    /// Returns the state with the step loops' trailing ground slot.
+    fn dc_operating_point(&self, layout: &MnaLayout, plan: &StepPlan) -> Result<Vec<f64>> {
         let nl = self.netlist;
-        let lu = RealFactor::assemble(nl, layout, sparse, 1e-12, |_| 0.0, |_| 1e-9, |_| 0.0)?;
+        let lu = RealFactor::assemble(nl, layout, self.engine, 1e-12, |_| 0.0, |_| 1e-9, |_| 0.0)?;
         let mut rhs = vec![0.0; layout.dim];
-        for (ei, e) in nl.elements.iter().enumerate() {
-            if let Element::VSource { wave, .. } = e {
-                rhs[layout.branch(ei)] = wave.eval(0.0);
-            }
+        for &(row, wave) in &plan.sources {
+            rhs[row] = wave.eval(0.0);
         }
         // The gmin/ε regularization skews conditioning; one round of
         // refinement recovers the digits it costs.
-        lu.solve_refined(&rhs, 2)
+        let mut x = lu.solve_refined(&rhs, 2)?;
+        x.push(0.0);
+        Ok(x)
     }
 }
 

@@ -256,8 +256,8 @@ fn transient_step_loop_does_not_allocate() {
     }
 
     fn allocs_for_run(engine: SolverEngine, steps: usize) -> u64 {
-        // 30 sections → 92 unknowns, comfortably past SPARSE_CUTOVER so
-        // `Sparse` exercises the real sparse path at scale.
+        // 30 sections → 92 unknowns, past the largest clock stage, so
+        // `Sparse` exercises the sparse path at scale.
         let nl = ladder(30);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let res = Transient::new(&nl)

@@ -1,13 +1,13 @@
 //! E6 benchmark: table+spline lookup vs direct field solve — the paper's
-//! headline efficiency claim — plus cold-vs-warm persistent-cache builds.
+//! headline efficiency claim — plus the cold characterization of the
+//! experiment table grid.
 
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3};
 use rlcx::peec::{Conductor, MeshSpec, PartialSystem};
-use rlcx_bench::harness::{fmt_time, Bench};
+use rlcx_bench::harness::Bench;
 use rlcx_bench::quick_tables;
 use std::hint::black_box;
-use std::time::Instant;
 
 fn main() {
     let tables = quick_tables();
@@ -50,21 +50,9 @@ fn main() {
         black_box(sys.rl_at(3.2e9, MeshSpec::new(3, 2)).unwrap())
     });
 
-    // Cold vs warm persistent-cache build: the warm path never runs the
-    // field solver, so the speedup is typically orders of magnitude.
-    let dir = std::env::temp_dir().join(format!("rlcx_bench_cache_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    // The cold build `exp_table_accuracy` reports as `figures.table.build_s`.
     let builder = rlcx_bench::experiment_builder();
-    let t0 = Instant::now();
-    let cold = builder.build_cached(&dir).unwrap();
-    let t_cold = t0.elapsed().as_secs_f64();
-    assert!(!cold.cache_hit);
-    println!("{:<48} {:>12}", "table_build/cold_cache", fmt_time(t_cold));
-    let t_warm = Bench::new("table_build/warm_cache").samples(5).run(|| {
-        let warm = builder.build_cached(&dir).unwrap();
-        assert!(warm.cache_hit);
-        black_box(warm.tables)
-    });
-    println!("warm-cache speedup: {:.0}x", t_cold / t_warm);
-    std::fs::remove_dir_all(&dir).ok();
+    Bench::new("table_build")
+        .samples(5)
+        .run(|| black_box(builder.build().unwrap()));
 }

@@ -301,12 +301,12 @@ mod tests {
         let mut r = report(&[("err", 0.5)], Some(20.0), Some(7));
         r.sample("lookup", 2e-6, 1e-6, 5);
         r.metrics
-            .push(("cache.hit".into(), MetricValue::Counter(3)));
+            .push(("peec.solves".into(), MetricValue::Counter(3)));
         let flat = flatten(&r);
         assert_eq!(flat.get("figures.err"), Some(&0.5));
         assert_eq!(flat.get("samples.lookup.median_s"), Some(&2e-6));
         assert_eq!(flat.get("samples.lookup.min_s"), Some(&1e-6));
-        assert_eq!(flat.get("metrics.cache.hit"), Some(&3.0));
+        assert_eq!(flat.get("metrics.peec.solves"), Some(&3.0));
         assert_eq!(flat.get("metrics.gmres.iters.count"), Some(&10.0));
         assert_eq!(flat.get("metrics.gmres.iters.mean"), Some(&10.0));
         assert_eq!(flat.get("metrics.gmres.iters.p99"), Some(&20.0));

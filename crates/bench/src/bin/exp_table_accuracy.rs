@@ -3,14 +3,16 @@
 //!
 //! Random geometries inside (and slightly outside) the characterized grid:
 //! relative error of the table lookup against a fresh PEEC solve, and the
-//! wall-clock ratio between a lookup and a solve. The tables come through
-//! the persistent cache, so the run also reports the cold-build stage
-//! breakdown (or the warm-cache load time on repeat runs).
+//! wall-clock ratio between a lookup and a solve. Every run characterizes
+//! the tables from scratch and reports the build time as
+//! `figures.table.build_s` (report-only).
 //!
 //! Gated keys (`ci/thresholds/exp_table_accuracy.json`):
 //! `figures.self_l.{mean,max}_rel_err`, `figures.mutual_l.{mean,max}_rel_err`,
-//! `figures.self_l.extrapolation_rel_err`, `figures.lookup.speedup`, and
-//! `metrics.lu.factor.n.p99` (the size of the field solves' LU factors).
+//! `figures.self_l.extrapolation_rel_err`, `figures.lookup.speedup`,
+//! `metrics.lu.factor.n.p99` (the size of the field solves' LU factors),
+//! and the exact work counts `metrics.peec.solves` and
+//! `metrics.lu.factor.n.count`.
 
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3};
@@ -72,20 +74,13 @@ fn main() {
     println!("============================================================");
     let mut report = rlcx_bench::report("exp_table_accuracy");
     let t0 = Instant::now();
-    let build = rlcx_bench::experiment_tables_cached();
+    let tables = rlcx_bench::experiment_tables();
     let t_build = t0.elapsed();
     println!(
-        "table characterization: {:.2} s ({})\n",
-        t_build.as_secs_f64(),
-        if build.cache_hit {
-            "warm cache — solver skipped"
-        } else {
-            "cold — full solve"
-        }
+        "table characterization: {:.2} s (full solve)\n",
+        t_build.as_secs_f64()
     );
-    report.note("cache", if build.cache_hit { "hit" } else { "miss" });
     report.figure("table.build_s", t_build.as_secs_f64());
-    let tables = build.tables;
 
     let mesh = MeshSpec::new(3, 2);
     let mut rng = SplitMix64::new(2000);

@@ -7,7 +7,7 @@
 
 pub mod harness;
 
-use rlcx::core::{CachedBuild, ClocktreeExtractor, InductanceTables, TableBuilder};
+use rlcx::core::{ClocktreeExtractor, InductanceTables, TableBuilder};
 use rlcx::geom::{ShieldConfig, Stackup};
 use rlcx::obs::{self, RunReport, TraceLevel};
 use rlcx::peec::MeshSpec;
@@ -56,8 +56,8 @@ pub fn quick_tables() -> InductanceTables {
         .expect("table characterization")
 }
 
-/// The builder behind [`experiment_tables`], for callers that want the
-/// cached or timed build paths.
+/// The builder behind [`experiment_tables`], for callers that time the
+/// build or configure it further.
 pub fn experiment_builder() -> TableBuilder {
     TableBuilder::new(stackup(), CLOCK_LAYER)
         .expect("clock layer exists")
@@ -67,24 +67,6 @@ pub fn experiment_builder() -> TableBuilder {
         .shields(vec![ShieldConfig::Coplanar, ShieldConfig::PlaneBelow])
         .mesh(MeshSpec::new(3, 2))
         .frequency(F_SIG)
-}
-
-/// The on-disk cache directory the experiments share (under `target/` so a
-/// `cargo clean` clears it).
-pub fn cache_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/rlcx-table-cache")
-}
-
-/// [`experiment_tables`] through the persistent cache: the first call per
-/// machine characterizes and stores, later calls load.
-///
-/// # Panics
-///
-/// Panics if characterization fails.
-pub fn experiment_tables_cached() -> CachedBuild {
-    experiment_builder()
-        .build_cached(cache_dir())
-        .expect("table characterization")
 }
 
 /// Where run reports land: `RLCX_REPORT_DIR` if set, `target/reports`
@@ -103,8 +85,9 @@ pub fn report(name: &str) -> RunReport {
 }
 
 /// Ends an experiment run: snapshots the metrics and spans into `report`,
-/// prints the span tree and cache counters to stderr when `RLCX_TRACE` is
-/// `summary` or higher, and writes `<reports_dir>/<name>.json`.
+/// prints the span tree and the flight-recorder series to stderr when
+/// `RLCX_TRACE` is `summary` or higher, and writes
+/// `<reports_dir>/<name>.json`.
 ///
 /// # Panics
 ///
@@ -124,11 +107,6 @@ pub fn finish_report(mut report: RunReport) -> PathBuf {
                 indent = s.depth * 2,
             );
         }
-        eprintln!(
-            "[rlcx-trace] cache.hit = {}, cache.miss = {}",
-            obs::counter_value("cache.hit"),
-            obs::counter_value("cache.miss"),
-        );
         for s in &report.series {
             eprintln!(
                 "[rlcx-trace] series {:<20} {} pts (of {} pushed, cap {})",

@@ -11,15 +11,12 @@
 //! them equally cheap, and it keeps the self table exact for isolated wide
 //! traces.
 
-use crate::cache::TableCache;
 use crate::table::{InductanceTables, LoopLTable, MutualLTable, SelfLTable};
 use crate::Result;
 use rlcx_geom::{Axis, Bar, Block, Point3, ShieldConfig, Stackup};
 use rlcx_numeric::obs;
 use rlcx_numeric::parallel::{balanced_index, par_map};
 use rlcx_peec::{BlockExtractor, Conductor, GmdMemo, MeshSpec, PartialSystem, SolverBackend};
-use std::fmt::Write as _;
-use std::path::Path;
 
 /// Builds [`InductanceTables`] for one routing layer of a stackup.
 ///
@@ -310,105 +307,6 @@ impl TableBuilder {
         }
         Ok(loop_tables)
     }
-
-    /// Content-hash key identifying this characterization: any change to
-    /// the stackup, target layer, frequency, mesh, axes, shield set or loop
-    /// geometry changes the key. Used by [`TableBuilder::build_cached`] to
-    /// decide whether a stored table file is still valid.
-    pub fn cache_key(&self) -> String {
-        // A canonical description of every input the solves depend on.
-        // f64s are rendered as exact bit patterns so "close" configurations
-        // can never collide.
-        let mut desc = String::from("rlcx-table-cache v1\n");
-        let _ = writeln!(desc, "eps_r {:016x}", self.stackup.eps_r().to_bits());
-        for layer in &self.stackup {
-            let _ = writeln!(
-                desc,
-                "layer {} {:016x} {:016x} {:016x}",
-                layer.name(),
-                layer.z_bottom().to_bits(),
-                layer.thickness().to_bits(),
-                layer.resistivity().to_bits()
-            );
-        }
-        let _ = writeln!(desc, "layer_index {}", self.layer_index);
-        let _ = writeln!(desc, "frequency {:016x}", self.frequency.to_bits());
-        let _ = writeln!(desc, "mesh {} {}", self.mesh.nw(), self.mesh.nt());
-        for (name, axis) in [
-            ("widths", &self.widths),
-            ("spacings", &self.spacings),
-            ("lengths", &self.lengths),
-        ] {
-            let _ = write!(desc, "{name}");
-            for v in axis {
-                let _ = write!(desc, " {:016x}", v.to_bits());
-            }
-            desc.push('\n');
-        }
-        let _ = write!(desc, "shields");
-        for &s in &self.shields {
-            let _ = write!(desc, " {}", crate::io::shield_name(s));
-        }
-        desc.push('\n');
-        let _ = writeln!(
-            desc,
-            "ground_width_ratio {:016x}",
-            self.ground_width_ratio.to_bits()
-        );
-        let _ = writeln!(desc, "loop_spacing {:016x}", self.loop_spacing.to_bits());
-        let _ = writeln!(desc, "plane_strips {}", self.plane_strips);
-        let _ = writeln!(desc, "backend {}", self.backend.name());
-        if self.backend != SolverBackend::Dense {
-            // The fast-operator numerics changed when the H² far field and
-            // batched kernels landed; invalidate tables that may have been
-            // characterized through the pre-H² iterative path. Dense-backend
-            // tables are bit-identical across that change and keep their key.
-            let _ = writeln!(desc, "fastop h2-v2");
-        }
-        format!("{:016x}", crate::cache::fnv1a64(desc.as_bytes()))
-    }
-
-    /// Builds the tables through the persistent cache in `dir`: on a key
-    /// hit the stored tables are loaded and the field solver never runs; on
-    /// a miss (no file, version/key mismatch, or corrupt file) the tables
-    /// are characterized as in [`TableBuilder::build`] and stored.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TableBuilder::build`], plus an error if the cache file
-    /// cannot be written. A corrupt or stale cache file is not an error —
-    /// it is silently rebuilt.
-    pub fn build_cached(&self, dir: impl AsRef<Path>) -> Result<CachedBuild> {
-        let cache = TableCache::new(dir);
-        let key = self.cache_key();
-        match cache.lookup(&key) {
-            Ok(tables) => Ok(CachedBuild {
-                tables,
-                cache_hit: true,
-                miss_reason: None,
-            }),
-            Err(reason) => {
-                let tables = self.build()?;
-                cache.store(&key, &tables)?;
-                Ok(CachedBuild {
-                    tables,
-                    cache_hit: false,
-                    miss_reason: Some(reason),
-                })
-            }
-        }
-    }
-}
-
-/// The outcome of [`TableBuilder::build_cached`].
-#[derive(Debug, Clone)]
-pub struct CachedBuild {
-    /// The characterized (or cache-loaded) tables.
-    pub tables: InductanceTables,
-    /// True when the tables came from the cache and no solve ran.
-    pub cache_hit: bool,
-    /// On a miss, why the probe failed (`None` on a hit).
-    pub miss_reason: Option<crate::cache::CacheMiss>,
 }
 
 /// Worst relative disagreement between the self table's spline lookup and

@@ -49,7 +49,6 @@
 
 pub mod builder;
 pub mod bus;
-pub mod cache;
 pub mod extractor;
 pub mod io;
 pub mod segment;
@@ -57,9 +56,8 @@ pub mod table;
 
 mod error;
 
-pub use builder::{CachedBuild, TableBuilder};
+pub use builder::TableBuilder;
 pub use bus::{BusNetlistBuilder, BusRlc, WireDrive};
-pub use cache::{CacheMiss, TableCache};
 pub use error::CoreError;
 pub use extractor::{ClocktreeExtractor, TreeNetlistBuilder, TreeRlcNetlist};
 pub use segment::SegmentRlc;

@@ -1,5 +1,5 @@
 //! A minimal JSON value model: hand-rolled writer and recursive-descent
-//! parser, in the same no-dependency spirit as the table cache format.
+//! parser, in the same no-dependency spirit as the table file format.
 //!
 //! Only what the run reports need: objects keep insertion order, numbers
 //! are `f64` written with Rust's shortest-round-trip formatting, strings

@@ -3,7 +3,7 @@
 //!
 //! Field-solver runs are opaque without instrumentation: a wall clock says
 //! *how long* a run took but not which stage the time went to, how many
-//! filaments were meshed, whether the table cache hit, or how large the LU
+//! filaments were meshed, how often a memo hit, or how large the LU
 //! factors were. This module family is the zero-dependency observability
 //! layer the whole workspace records into, and its spans are the one
 //! per-stage clock:
@@ -14,7 +14,7 @@
 //!   `verbose` streams enter/exit lines to stderr; both `summary` and
 //!   `verbose` collect [`SpanRecord`]s for the span tree and run reports.
 //! * [`metrics`] — a global registry of counters, gauges and histogram
-//!   summaries (`cache.hit`, `peec.filaments`, `lu.factor.n`, …), always
+//!   summaries (`peec.solves`, `peec.filaments`, `lu.factor.n`, …), always
 //!   on. Since PR 7 the store is *sharded*: per-thread atomic slots with
 //!   log-bucketed histograms, so hot-loop recording is lock-free and
 //!   allocation-free, and [`quantile`] answers p50/p90/p99 queries.
@@ -31,12 +31,12 @@
 //!   Chrome/Perfetto `traceEvents` JSON any run can open in
 //!   `chrome://tracing`.
 //! * [`json`] — the minimal JSON value model ([`Json`]) behind the report
-//!   writer/parser; no serde, same policy as the table cache format.
+//!   writer/parser; no serde, same policy as the table file format.
 //!
 //! # Naming scheme
 //!
 //! Metric and span names are dot-separated, lowercase, `crate.subject` or
-//! `crate.subject.aspect`: `cache.hit`, `peec.solves`, `table.points.self`,
+//! `crate.subject.aspect`: `peec.solves`, `table.points.self`,
 //! `spice.steps`, `lu.factor.n`, `threads.used`. Span names follow the
 //! pipeline stages: `table.build/table.self`, `peec.solve/assemble`, ….
 //!

@@ -19,7 +19,7 @@
 //!           "cpu_model": "AMD EPYC 7B13"},
 //!   "figures": {"self_l.max_rel_err": 0.0021},
 //!   "samples": [{"name": "lookup", "median_s": 1e-6, "min_s": 9e-7, "n": 10}],
-//!   "metrics": {"cache.hit": {"type": "counter", "value": 1}},
+//!   "metrics": {"peec.solves": {"type": "counter", "value": 616}},
 //!   "spans": [{"path": "table.build", "depth": 0, "count": 1, "total_s": 0.5}],
 //!   "series": [{"name": "gmres.residual", "capacity": 4096, "pushed": 37,
 //!               "points": [[0.0, 1.0], [1.0, 0.1]]}]
@@ -165,11 +165,6 @@ impl RunReport {
             min_s,
             n,
         });
-    }
-
-    /// Adds a free-form environment note.
-    pub fn note(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.env.push((key.into(), value.into()));
     }
 
     /// Captures the current metric registry, the series channels and the
@@ -507,7 +502,7 @@ mod tests {
         r.figure("speedup", 9000.0);
         r.sample("lookup", 1.2e-6, 0.9e-6, 10);
         r.metrics = vec![
-            ("cache.hit".into(), MetricValue::Counter(1)),
+            ("peec.solves".into(), MetricValue::Counter(1)),
             ("threads.used".into(), MetricValue::Gauge(4.0)),
             (
                 "lu.factor.n".into(),

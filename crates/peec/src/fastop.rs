@@ -38,9 +38,8 @@
 //!
 //! [`SolverBackend`] selects between this path and the dense one;
 //! [`SolverBackend::Auto`] keeps dense below [`iterative_cutover`]
-//! filaments (default [`ITERATIVE_CUTOVER`], overridable via the
-//! `RLCX_PEEC_CUTOVER` environment variable) so all pre-existing results
-//! stay bit-identical.
+//! filaments ([`ITERATIVE_CUTOVER`]) so all pre-existing results stay
+//! bit-identical.
 //!
 //! Metrics: `fastop.kernel.hits` / `fastop.kernel.misses` and
 //! `aca.rank_cap.hits` (counters), `aca.rank` / `h2.basis.rank`
@@ -63,7 +62,6 @@ use rlcx_numeric::pool::{self, SendPtr};
 use rlcx_numeric::{obs, par_map, thread_count, CMatrix, Complex};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Which engine [`crate::PartialSystem`] uses for the filament-level solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,44 +76,15 @@ pub enum SolverBackend {
     Auto,
 }
 
-/// Default filament count at which [`SolverBackend::Auto`] switches to the
+/// Filament count at which [`SolverBackend::Auto`] switches to the
 /// iterative path. Below this the dense LU is fast and its results are the
 /// historical reference; above it the O(n³) factor dominates and the
-/// Krylov path wins. Override per process with the `RLCX_PEEC_CUTOVER`
-/// environment variable — see [`iterative_cutover`].
+/// Krylov path wins.
 pub const ITERATIVE_CUTOVER: usize = 420;
 
-/// The effective [`SolverBackend::Auto`] cutover: `RLCX_PEEC_CUTOVER` when
-/// set to a positive integer, [`ITERATIVE_CUTOVER`] otherwise. The batched
-/// kernels shift the dense/iterative crossover per machine, so deployments
-/// can tune it without a rebuild. Invalid values warn once on stderr and
-/// fall back to the default; the variable is read once per process.
+/// The [`SolverBackend::Auto`] cutover, [`ITERATIVE_CUTOVER`].
 pub fn iterative_cutover() -> usize {
-    static CUTOVER: OnceLock<usize> = OnceLock::new();
-    *CUTOVER.get_or_init(|| cutover_from(std::env::var("RLCX_PEEC_CUTOVER").ok().as_deref()))
-}
-
-/// Pure parsing core of [`iterative_cutover`]: `None` or an empty string
-/// means "unset", anything that is not a positive integer is rejected with
-/// a warning.
-fn cutover_from(raw: Option<&str>) -> usize {
-    let Some(s) = raw else {
-        return ITERATIVE_CUTOVER;
-    };
-    let trimmed = s.trim();
-    if trimmed.is_empty() {
-        return ITERATIVE_CUTOVER;
-    }
-    match trimmed.parse::<usize>() {
-        Ok(v) if v >= 1 => v,
-        _ => {
-            eprintln!(
-                "rlcx: ignoring invalid RLCX_PEEC_CUTOVER={s:?} \
-                 (expected a positive integer); using default {ITERATIVE_CUTOVER}"
-            );
-            ITERATIVE_CUTOVER
-        }
-    }
+    ITERATIVE_CUTOVER
 }
 
 impl SolverBackend {
@@ -125,15 +94,6 @@ impl SolverBackend {
             SolverBackend::Dense => false,
             SolverBackend::Iterative => true,
             SolverBackend::Auto => n_filaments >= iterative_cutover(),
-        }
-    }
-
-    /// Stable lowercase name, used in cache keys and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverBackend::Dense => "dense",
-            SolverBackend::Iterative => "iterative",
-            SolverBackend::Auto => "auto",
         }
     }
 }
@@ -1499,20 +1459,6 @@ mod tests {
         assert!(SolverBackend::Iterative.is_iterative(4));
         assert!(!SolverBackend::Auto.is_iterative(ITERATIVE_CUTOVER - 1));
         assert!(SolverBackend::Auto.is_iterative(ITERATIVE_CUTOVER));
-        assert_eq!(SolverBackend::Auto.name(), "auto");
-    }
-
-    #[test]
-    fn cutover_env_parsing() {
-        assert_eq!(cutover_from(None), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("  ")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("64")), 64);
-        assert_eq!(cutover_from(Some(" 1000 ")), 1000);
-        assert_eq!(cutover_from(Some("0")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("-5")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("fast")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("4.2e3")), ITERATIVE_CUTOVER);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! frequency and every later point re-runs only the numeric phase via
 //! [`SparseLu::refactor`], restamping values in place through a slot map.
 
+use crate::diagnose::diagnose_singular;
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::stamp::{stamp_mna, MnaLayout, SolverEngine};
 use crate::waveform::Waveform;
@@ -179,7 +180,8 @@ impl<'a> Ac<'a> {
     /// # Errors
     ///
     /// * [`SpiceError::BadSimParams`] for a bad sweep or empty circuit,
-    /// * [`SpiceError::Numeric`] if the MNA system is singular.
+    /// * [`SpiceError::SingularMna`] naming the offending unknown if the
+    ///   MNA system is singular.
     pub fn run(&self) -> Result<AcResult> {
         self.sweep.validate()?;
         let nl = self.netlist;
@@ -233,7 +235,9 @@ impl<'a> Ac<'a> {
                 |m| jw * m,
                 |i, j, v| a[(i, j)] += v,
             );
-            CLuDecomposition::new(&a)?.solve_into(rhs, &mut x)?;
+            CLuDecomposition::new(&a)
+                .map_err(|e| diagnose_singular(nl, layout, e))?
+                .solve_into(rhs, &mut x)?;
             record_point(nl, &x, volts);
         }
         Ok(())
@@ -267,7 +271,7 @@ impl<'a> Ac<'a> {
         obs::gauge_set("spice.mna.nnz", a.nnz() as f64);
         let mut lu = {
             let _s = obs::span("spice.mna.factor");
-            SparseLu::factor(&a)?
+            SparseLu::factor(&a).map_err(|e| diagnose_singular(nl, layout, e))?
         };
         let mut x = vec![Complex::ZERO; dim];
         let mut scratch = vec![Complex::ZERO; dim];
@@ -296,7 +300,8 @@ impl<'a> Ac<'a> {
             }
             // Numeric-only refactorization on the frozen pattern; falls
             // back to a fresh pivot search if the diagonal degrades.
-            lu.refactor(&a)?;
+            lu.refactor(&a)
+                .map_err(|e| diagnose_singular(nl, layout, e))?;
             lu.solve_into(rhs, &mut scratch, &mut x)?;
             record_point(nl, &x, volts);
         }
@@ -331,6 +336,27 @@ fn source_amplitude(wave: &Waveform) -> f64 {
 mod tests {
     use super::*;
     use crate::netlist::GROUND;
+
+    #[test]
+    fn singular_system_names_the_floating_node() {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.node("orphan"); // interned but never connected
+        nl.resistor("R", a, GROUND, 50.0).unwrap();
+        for engine in [SolverEngine::Sparse, SolverEngine::Dense] {
+            let err = Ac::new(&nl)
+                .sweep(Sweep::log(1e6, 1e9, 3))
+                .engine(engine)
+                .run()
+                .unwrap_err();
+            match err {
+                SpiceError::SingularMna { unknown, .. } => {
+                    assert_eq!(unknown, "node 'orphan'", "{engine:?}");
+                }
+                other => panic!("{engine:?}: expected SingularMna, got {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn rc_lowpass_corner() {

@@ -335,7 +335,14 @@ fn trajectory_hash(res: &TransientResult, branches: &[String]) -> u64 {
             bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    rlcx::core::cache::fnv1a64(&bytes)
+    fnv1a(&bytes)
+}
+
+/// 64-bit FNV-1a (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]

@@ -107,35 +107,6 @@ fn impedance_solve_records_every_stage_span() {
     }
 }
 
-/// The persistent-cache build times its probe, the characterization and
-/// the store on a miss, and only the probe on a hit.
-#[test]
-fn cached_build_records_probe_build_and_store_spans() {
-    let _guard = level_lock();
-    let dir = std::env::temp_dir().join(format!("rlcx_obs_cache_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-
-    let cold =
-        recorded_span_paths(|| assert!(!small_builder().build_cached(&dir).unwrap().cache_hit));
-    for path in ["cache.probe", "table.build", "cache.store"] {
-        assert!(
-            cold.iter().any(|p| p == path),
-            "cold build: missing span {path}"
-        );
-    }
-    let warm =
-        recorded_span_paths(|| assert!(small_builder().build_cached(&dir).unwrap().cache_hit));
-    assert!(
-        warm.iter().any(|p| p == "cache.probe"),
-        "warm build probes the cache"
-    );
-    assert!(
-        !warm.iter().any(|p| p == "table.build"),
-        "warm build must not characterize"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Metrics accumulate across worker threads: a characterization forced to
 /// `RLCX_THREADS=4` must count every grid point and every PEEC solve, and
 /// the solve counter grows by at least the point count.

@@ -1,14 +1,12 @@
-//! The parallel extraction engine and the persistent table cache, tested
-//! end-to-end: serial-vs-parallel determinism, table-vs-solver accuracy,
-//! and cache round-trips.
+//! The parallel extraction engine tested end-to-end: serial-vs-parallel
+//! determinism, table-vs-solver accuracy, and the memoized table build
+//! against direct solves.
 
-use rlcx::core::{CacheMiss, TableBuilder, TableCache};
+use rlcx::core::TableBuilder;
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Block, Point3, ShieldConfig, Stackup};
 use rlcx::numeric::with_thread_count;
-use rlcx::obs;
 use rlcx::peec::{BlockExtractor, Conductor, MeshSpec, PartialSystem, SolverBackend};
-use std::path::PathBuf;
 
 fn bus(n: usize) -> PartialSystem {
     (0..n)
@@ -33,10 +31,6 @@ fn small_builder() -> TableBuilder {
         .spacings(vec![0.5, 1.0, 2.0])
         .lengths(vec![200.0, 400.0, 800.0])
         .mesh(MeshSpec::new(2, 1))
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rlcx_test_{tag}_{}", std::process::id()))
 }
 
 /// Serial and parallel skin-effect solves agree bit-for-bit. `RLCX_THREADS`
@@ -81,96 +75,6 @@ fn table_lookup_matches_direct_peec_within_three_percent() {
         let rel = (tables.self_l.lookup(w, len) - l[(0, 0)]).abs() / l[(0, 0)];
         assert!(rel < 0.03, "w={w}, len={len}: rel err {rel}");
     }
-}
-
-/// Cache round-trip: a cold build misses and stores, a second build hits
-/// and returns numerically identical tables.
-#[test]
-fn cache_roundtrip_is_exact() {
-    let dir = scratch_dir("cache_roundtrip");
-    std::fs::remove_dir_all(&dir).ok();
-    let builder = small_builder();
-    let cold = builder.build_cached(&dir).unwrap();
-    assert!(!cold.cache_hit, "first build must miss the cache");
-    let warm = builder.build_cached(&dir).unwrap();
-    assert!(warm.cache_hit, "second build must hit the cache");
-    for (w, len) in [(1.0, 200.0), (2.0, 400.0), (5.0, 800.0), (1.7, 333.0)] {
-        assert_eq!(
-            cold.tables.self_l.lookup(w, len).to_bits(),
-            warm.tables.self_l.lookup(w, len).to_bits(),
-            "self_l({w},{len})"
-        );
-        assert_eq!(
-            cold.tables.mutual_l.lookup(w, w, 1.0, len).to_bits(),
-            warm.tables.mutual_l.lookup(w, w, 1.0, len).to_bits(),
-            "mutual_l({w},{len})"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Every cache probe lands in the `cache.hit` / `cache.miss` metrics with
-/// an attributable miss reason. Metrics are process-global and other tests
-/// in this binary probe the cache concurrently, so all assertions are
-/// deltas (`>=`) against a before-snapshot.
-#[test]
-fn cache_probes_record_hit_and_miss_metrics() {
-    let dir = scratch_dir("cache_metrics");
-    std::fs::remove_dir_all(&dir).ok();
-    let builder = small_builder();
-    let key = builder.cache_key();
-    let cache = TableCache::new(&dir);
-
-    let hits_before = obs::counter_value("cache.hit");
-    let misses_before = obs::counter_value("cache.miss");
-    let absent_before = obs::counter_value("cache.miss.absent");
-
-    assert!(matches!(cache.lookup(&key), Err(CacheMiss::Absent)));
-    let cold = builder.build_cached(&dir).unwrap();
-    assert!(!cold.cache_hit);
-    assert_eq!(cold.miss_reason, Some(CacheMiss::Absent));
-    let warm = builder.build_cached(&dir).unwrap();
-    assert!(warm.cache_hit);
-    assert_eq!(warm.miss_reason, None);
-    assert!(cache.lookup(&key).is_ok());
-
-    assert!(
-        obs::counter_value("cache.hit") >= hits_before + 2,
-        "two hits recorded"
-    );
-    assert!(
-        obs::counter_value("cache.miss") >= misses_before + 2,
-        "two misses recorded"
-    );
-    assert!(
-        obs::counter_value("cache.miss.absent") >= absent_before + 2,
-        "misses attributed to the absent reason"
-    );
-
-    // A corrupted payload is a miss with its own reason.
-    let corrupt_before = obs::counter_value("cache.miss.corrupt");
-    let path = cache.path_for(&key);
-    let body = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, &body[..body.len() / 2]).unwrap();
-    assert!(matches!(cache.lookup(&key), Err(CacheMiss::Corrupt)));
-    assert!(obs::counter_value("cache.miss.corrupt") > corrupt_before);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A changed builder input (frequency here) must key a different cache
-/// entry — the stale entry must not be served.
-#[test]
-fn cache_is_invalidated_by_input_changes() {
-    let dir = scratch_dir("cache_invalidation");
-    std::fs::remove_dir_all(&dir).ok();
-    let first = small_builder().build_cached(&dir).unwrap();
-    assert!(!first.cache_hit);
-    let changed = small_builder().frequency(1.0e9).build_cached(&dir).unwrap();
-    assert!(
-        !changed.cache_hit,
-        "different inputs must not hit the old entry"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `small_builder` with both loop-table shield configurations.
@@ -243,12 +147,4 @@ fn memoized_build_matches_direct_solves_bit_for_bit() {
             }
         }
     }
-}
-
-/// The GMD memo is an implementation detail of a build: the cache key of
-/// a builder is pinned to its value from before the memo existed, so
-/// persisted `tables-<key>.txt` files stay valid.
-#[test]
-fn cache_key_is_pinned() {
-    assert_eq!(two_shield_builder().cache_key(), "98c0e0cc01967a81");
 }
